@@ -79,7 +79,6 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
         notifications=NotificationCenter(),
         cost_model=access.cost_model,
         auth_token=access.auth_token,
-        group_commit_s=access.group_commit_s,
         group_commit=access.group_commit,
         obs=access.obs,
         incarnation=access.incarnation + 1,

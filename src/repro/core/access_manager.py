@@ -67,7 +67,6 @@ class AccessManager:
         cost_model: Optional[ExecutionCostModel] = None,
         step_budget: int = 200_000,
         auth_token: str = "",
-        group_commit_s: float = 0.0,
         group_commit: Optional[GroupCommitPolicy] = None,
         obs: Optional[Observatory] = None,
         incarnation: int = 0,
@@ -87,10 +86,7 @@ class AccessManager:
         self._crashed = False
         #: Observability: defaults to the scheduler's observatory so a
         #: hand-wired stack shares one registry/tracer per client.
-        #: (Live schedulers carry none; fall back to a private one.)
-        if obs is None:
-            obs = getattr(scheduler, "obs", None) or Observatory()
-        self.obs = obs
+        self.obs = obs if obs is not None else scheduler.obs
         self.tracer = self.obs.tracer
         self._m_qrpc_latency = self.obs.registry.histogram(
             "qrpc_latency_seconds",
@@ -124,16 +120,14 @@ class AccessManager:
         self.cost_model = cost_model or ExecutionCostModel()
         #: Credential presented with every QRPC (see RoverServer.auth_tokens).
         self.auth_token = auth_token
-        #: Group-commit window: 0 flushes the log on every QRPC (the
-        #: paper's prototype); >0 batches appends behind one flush per
-        #: window, trading a wider crash-loss window for less time on
-        #: the critical path (ablated in benchmark E2b).
-        self.group_commit_s = group_commit_s
-        #: Adaptive group commit (repro.speed): when set, supersedes
-        #: the fixed window — appends batch behind one flush whose
-        #: deadline stretches under bursts and whose byte/record budget
-        #: forces the flush early (see
-        #: :class:`repro.storage.stable_log.GroupCommitPolicy`).
+        #: Group commit: None flushes the log on every QRPC (the
+        #: paper's prototype); a policy batches appends behind one
+        #: flush whose deadline stretches under bursts and whose
+        #: byte/record budget forces the flush early, trading a wider
+        #: crash-loss window for less time on the critical path (see
+        #: :class:`repro.storage.stable_log.GroupCommitPolicy`; a fixed
+        #: window has ``min_window_s == max_window_s``; ablated in
+        #: benchmark E2b).
         self.group_commit = group_commit
         self._group_flush_timer: Any = None
         self._gc_window_start = 0.0
@@ -785,15 +779,6 @@ class AccessManager:
             self._arm_adaptive_flush()
             self.compact_now()
             return
-        if self.group_commit_s > 0:
-            self.log.append(request, flush=False)
-            self._unflushed.append((request, session))
-            if self._group_flush_timer is None:
-                self._group_flush_timer = self.sim.schedule(
-                    self.group_commit_s, self._group_flush
-                )
-            self.compact_now()
-            return
         flush_time = self.log.append(request)
         self.flush_seconds_total += flush_time
         # The flush occupies the critical path, and the disk is serial:
@@ -1137,7 +1122,7 @@ class AccessManager:
             return False
         authority = URN.parse(request.urn).authority
         replica_set = self.servers.get(authority)
-        if replica_set is None or not hasattr(replica_set, "rotate"):
+        if replica_set is None or not hasattr(replica_set, "advance_past"):
             return False
         if request.failover_rounds >= self.max_failover_rounds:
             return False
@@ -1151,10 +1136,7 @@ class AccessManager:
             message.dst.name if message is not None else
             getattr(replica_set, "current_host").name
         )
-        if hasattr(replica_set, "advance_past"):
-            replica_set.advance_past(failed_host)
-        else:
-            replica_set.rotate()
+        replica_set.advance_past(failed_host)
         self._m_qrpc_failovers.labels(host=self.host.name).inc()
         opened = self._enqueue_failover(authority, request)
         if opened:
@@ -1191,10 +1173,7 @@ class AccessManager:
         wave.append(request)
         if len(wave) > 1:
             return False
-        delay = min(
-            self.scheduler.max_backoff,
-            self.scheduler.base_backoff * (2 ** (request.failover_rounds - 1)),
-        ) * (0.5 + 0.5 * self.scheduler.rng.random())
+        delay = self.scheduler._backoff_delay(request.failover_rounds)
         self.sim.schedule(delay, self._flush_failover_wave, authority)
         return True
 

@@ -1,10 +1,10 @@
 """Live mode: the same toolkit over real sockets and wall-clock time.
 
-Everything under :mod:`repro.core` is written against three narrow
-interfaces — a clock (``now`` / ``schedule`` / ``run_until``), a
-transport (``register`` / ``call`` / ``handle_request``), and a
-scheduler (``submit`` / ``reprioritize`` / ``cancel``).  The simulation
-substrate implements them in virtual time; this package implements them
+Everything under :mod:`repro.core`, and the network scheduler beneath
+it, is written against two narrow interfaces — a clock (``now`` /
+``schedule`` / ``run_until``) and a transport (``register`` / ``call`` /
+``handle_request`` / ``best_link``).  The simulation substrate
+implements them in virtual time; this package implements them
 over **real localhost TCP sockets** and a real-time event loop, so the
 *identical* access-manager and server code that reproduces the paper's
 tables also runs as an actual networked system:
@@ -15,12 +15,11 @@ tables also runs as an actual networked system:
 * :mod:`repro.live.transport` — length-prefixed marshalled frames over
   TCP, with the same service table and request/reply semantics as the
   simulated transport;
-* :mod:`repro.live.scheduler` — a queue-draining scheduler with
-  priorities, retransmission, and backoff, detecting connectivity by
-  socket success/failure;
 * :mod:`repro.live.node` — one-call construction of live servers and
-  clients wired to the unmodified :class:`~repro.core.server.RoverServer`
-  and :class:`~repro.core.access_manager.AccessManager`.
+  clients wired to the unmodified :class:`~repro.core.server.RoverServer`,
+  :class:`~repro.net.scheduler.NetworkScheduler` and
+  :class:`~repro.core.access_manager.AccessManager`; the scheduler
+  detects connectivity by socket success/failure.
 
 Scope: a deployment/demo vehicle, not the measurement substrate — the
 experiments stay on the simulator where timing is exact.
@@ -28,13 +27,11 @@ experiments stay on the simulator where timing is exact.
 
 from repro.live.clock import RealTimeClock
 from repro.live.node import LiveClient, LiveServer
-from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveTransport
 
 __all__ = [
     "LiveClient",
     "LiveServer",
-    "LiveScheduler",
     "LiveTransport",
     "RealTimeClock",
 ]

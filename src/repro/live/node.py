@@ -2,8 +2,9 @@
 
 :class:`LiveServer` wraps the *same* :class:`~repro.core.server.RoverServer`
 used in simulation; :class:`LiveClient` wraps the same
-:class:`~repro.core.access_manager.AccessManager`.  Only the substrate
-(clock, transport, scheduler) differs.
+:class:`~repro.core.access_manager.AccessManager` over the same
+:class:`~repro.net.scheduler.NetworkScheduler`.  Only clock and
+transport differ.
 
 Limitations of live mode (by design — it is a deployment vehicle, not
 the measurement substrate): no SMTP relay route, no server-push
@@ -22,8 +23,8 @@ from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.live.clock import RealTimeClock
-from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveAddress, LiveTransport
+from repro.net.scheduler import NetworkScheduler
 from repro.storage.stable_log import FlushModel, StableLog
 
 
@@ -76,11 +77,13 @@ class LiveClient:
         self.clock = clock or RealTimeClock(name=f"{name}-loop")
         self._owns_clock = clock is None
         self.transport = LiveTransport(self.clock, name)
-        self.scheduler = LiveScheduler(
+        self.scheduler = NetworkScheduler(
             self.clock,
             self.transport,
-            call_timeout=call_timeout,
             max_attempts=max_attempts,
+            base_backoff=0.2,
+            max_backoff=10.0,
+            rpc_timeout=call_timeout,
         )
         self.access = AccessManager(
             self.clock,

@@ -31,6 +31,12 @@ class LiveAddress:
 
     __slots__ = ("name", "host", "port")
 
+    #: The rest of a simnet Host the network scheduler reads: there are
+    #: no simulated links to watch, and no network seed (the backoff
+    #: jitter stream derives from seed 0).
+    links: tuple = ()
+    network = None
+
     def __init__(self, name: str, host: str, port: int) -> None:
         self.name = name
         self.host = host
@@ -85,6 +91,7 @@ class LiveTransport:
         self._listener.bind((bind_host, port))
         self._listener.listen(16)
         self.address = LiveAddress(name, bind_host, self._listener.getsockname()[1])
+        self.host = self.address  # the scheduler's view of this node
         self._closing = False
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{name}-accept", daemon=True
@@ -106,6 +113,11 @@ class LiveTransport:
             return True, handler(body, source)
         except Exception as exc:
             return False, {"error": f"{type(exc).__name__}: {exc}"}
+
+    def best_link(self, dst: LiveAddress) -> LiveAddress:
+        """Every peer counts as reachable until its socket says otherwise:
+        a refused or timed-out call fails the attempt and backs off."""
+        return dst
 
     def call(
         self,

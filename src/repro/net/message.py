@@ -282,7 +282,10 @@ def _decode(data: Any, pos: int, depth: int = 0) -> tuple[Any, int]:
             if type(key) is str:
                 key = interned.get(key, key)
             value, pos = _decode(data, pos, depth + 1)
-            result[key] = value
+            try:
+                result[key] = value
+            except TypeError:  # a corrupt frame decoded a list/dict key
+                raise MarshalError(f"unhashable {type(key).__name__} dict key") from None
         return result, pos
     if tag == _T_BYTES:
         length, pos = _read_uvarint(data, pos)

@@ -410,10 +410,7 @@ class NetworkScheduler:
             return False
         if message.state == "inflight":
             self._inflight -= 1  # its release_slot closure never runs
-        message.state = "done"
-        self._active.discard(message)
-        self._m_failed.inc()
-        message.on_failed(reason)
+        self._fail(message, reason)
         self._pump()
         return True
 
@@ -562,26 +559,9 @@ class NetworkScheduler:
         trace; every member still gets its own queue.wait span.
         """
         for message in batch:
-            message.state = "inflight"
-            message.attempts += 1
-            if message.attempts > 1:
-                self._m_retransmissions.inc()
-            self._note_dispatch(message, route)
-        self._inflight += 1
+            self._start_attempt(message, route)
+        release_slot, on_accepted = self._take_slot(batch)
         self._m_batches.inc()
-        slot = {"held": True}
-
-        def release_slot() -> None:
-            if slot["held"]:
-                slot["held"] = False
-                self._inflight -= 1
-
-        def on_accepted() -> None:
-            for message in batch:
-                if message.state == "inflight":
-                    message.state = "accepted"
-            release_slot()
-            self._pump()
 
         def on_reply(body: Any) -> None:
             release_slot()
@@ -589,20 +569,17 @@ class NetworkScheduler:
             for index, message in enumerate(batch):
                 if message.state not in ("inflight", "accepted"):
                     continue
-                message.state = "done"
-                self._active.discard(message)
                 if index < len(replies) and replies[index].get("ok"):
-                    self._m_delivered.inc()
-                    message.on_reply(replies[index].get("body"))
+                    self._deliver(message, replies[index].get("body"))
                 else:
                     detail = (
                         replies[index].get("body") if index < len(replies) else None
                     )
-                    self._m_failed.inc()
-                    message.on_failed(
+                    self._fail(
+                        message,
                         detail.get("error", "batch member failed")
                         if isinstance(detail, dict)
-                        else "batch member failed"
+                        else "batch member failed",
                     )
             self._pump()
 
@@ -614,18 +591,8 @@ class NetworkScheduler:
             # or the pump below re-dispatches straight into the outage.
             self._route_cache.clear()
             for message in batch:
-                if message.state not in ("inflight", "accepted"):
-                    continue
-                if message.attempts >= self.max_attempts:
-                    message.state = "done"
-                    self._active.discard(message)
-                    self._m_failed.inc()
-                    message.on_failed(reason)
-                else:
-                    message.state = "queued"
-                    backoff = self._backoff_delay(message.attempts)
-                    self._note_retry(message, backoff, reason)
-                    self.sim.schedule(backoff, self._requeue, message)
+                if message.state in ("inflight", "accepted"):
+                    self._retry_or_fail(message, reason)
             self._pump()
 
         body = {
@@ -637,6 +604,63 @@ class NetworkScheduler:
         if batch[0].trace is not None:
             body[TRACE_KEY] = list(batch[0].trace)
         route.send(batch[0].dst, "rover.batch", body, on_reply, on_error, on_accepted)
+
+    def _start_attempt(self, message: QueuedMessage, route: Route) -> None:
+        message.state = "inflight"
+        message.attempts += 1
+        if message.attempts > 1:
+            self._m_retransmissions.inc()
+        self._note_dispatch(message, route)
+
+    def _take_slot(
+        self, messages: list[QueuedMessage]
+    ) -> tuple[Callable[[], None], Callable[[], None]]:
+        """Occupy one window slot for one wire exchange.
+
+        Returns ``(release_slot, on_accepted)``: the first frees the
+        slot at most once; the second is the route's custody callback.
+        """
+        self._inflight += 1
+        held = True
+
+        def release_slot() -> None:
+            nonlocal held
+            if held:
+                held = False
+                self._inflight -= 1
+
+        def on_accepted() -> None:
+            # Store-and-forward custody: the channel is free, but the
+            # messages stay logically outstanding until their reply.
+            for message in messages:
+                if message.state == "inflight":
+                    message.state = "accepted"
+            release_slot()
+            self._pump()
+
+        return release_slot, on_accepted
+
+    def _deliver(self, message: QueuedMessage, body: Any) -> None:
+        message.state = "done"
+        self._active.discard(message)
+        self._m_delivered.inc()
+        message.on_reply(body)
+
+    def _fail(self, message: QueuedMessage, reason: str) -> None:
+        message.state = "done"
+        self._active.discard(message)
+        self._m_failed.inc()
+        message.on_failed(reason)
+
+    def _retry_or_fail(self, message: QueuedMessage, reason: str) -> None:
+        """Requeue after a jittered backoff, or fail once out of attempts."""
+        if message.attempts >= self.max_attempts:
+            self._fail(message, reason)
+            return
+        message.state = "queued"
+        backoff = self._backoff_delay(message.attempts)
+        self._note_retry(message, backoff, reason)
+        self.sim.schedule(backoff, self._requeue, message)
 
     def _note_dispatch(self, message: QueuedMessage, route: Route) -> None:
         """Record queue.wait + route.select spans and wait metrics."""
@@ -689,35 +713,14 @@ class NetworkScheduler:
             )
 
     def _dispatch(self, message: QueuedMessage, route: Route) -> None:
-        message.state = "inflight"
-        message.attempts += 1
-        if message.attempts > 1:
-            self._m_retransmissions.inc()
-        self._note_dispatch(message, route)
-        self._inflight += 1
-        slot = {"held": True}
-
-        def release_slot() -> None:
-            if slot["held"]:
-                slot["held"] = False
-                self._inflight -= 1
-
-        def on_accepted() -> None:
-            # Store-and-forward custody: the channel is free, but the
-            # message stays logically outstanding until its reply.
-            if message.state == "inflight":
-                message.state = "accepted"
-            release_slot()
-            self._pump()
+        self._start_attempt(message, route)
+        release_slot, on_accepted = self._take_slot([message])
 
         def on_reply(body: Any) -> None:
             if message.state not in ("inflight", "accepted"):
                 return
-            message.state = "done"
-            self._active.discard(message)
             release_slot()
-            self._m_delivered.inc()
-            message.on_reply(body)
+            self._deliver(message, body)
             self._pump()
 
         def on_error(reason: str) -> None:
@@ -728,16 +731,7 @@ class NetworkScheduler:
             # this callback before any up/down transition listener, so
             # the cached route for this destination may be dead.
             self._route_cache.clear()
-            if message.attempts >= self.max_attempts:
-                message.state = "done"
-                self._active.discard(message)
-                self._m_failed.inc()
-                message.on_failed(reason)
-            else:
-                message.state = "queued"
-                backoff = self._backoff_delay(message.attempts)
-                self._note_retry(message, backoff, reason)
-                self.sim.schedule(backoff, self._requeue, message)
+            self._retry_or_fail(message, reason)
             self._pump()
 
         route.send(

@@ -13,6 +13,7 @@ from repro.net.simnet import Network
 from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.sim import Simulator
+from repro.storage.stable_log import GroupCommitPolicy
 from repro.testbed import build_testbed
 from tests.conftest import make_note
 
@@ -151,10 +152,27 @@ class TestFreshness:
         assert bed.server.imports_served == served_before
 
 
+#: A fixed group-commit window: the deadline never stretches.
+FIXED_50MS = GroupCommitPolicy(min_window_s=0.05, max_window_s=0.05)
+
+
 class TestGroupCommit:
+    def test_e2b_rows_pinned(self):
+        """Benchmark E2b in virtual time, exactly."""
+        from repro.bench.experiments import run_e2b_group_commit
+
+        rows = [
+            (row["window_s"], row["burst_completion_s"], row["flushes"])
+            for row in run_e2b_group_commit()
+        ]
+        assert rows == [
+            (0.0, 0.1525328, 20),
+            (0.02, 0.04032560000000001, 11),
+            (0.1, 0.12032560000000002, 11),
+        ]
+
     def test_one_flush_covers_a_burst(self):
-        bed = build_testbed()
-        bed.access.group_commit_s = 0.05
+        bed = build_testbed(group_commit=FIXED_50MS)
         urns = []
         for n in range(5):
             note = make_note(path=f"notes/g{n}")
@@ -174,12 +192,13 @@ class TestGroupCommit:
         # amortized one flush across the burst of five.
         assert bed.access.flush_seconds_total < 5 * per_request.access.flush_seconds_total
 
-    def test_group_commit_still_recovers(self):
+    def test_fixed_window_still_recovers(self):
         from repro.core.operation_log import OperationLog
         from repro.storage.stable_log import StableLog
 
-        bed = build_testbed(policy=IntervalTrace([(1_000.0, 1e9)]))
-        bed.access.group_commit_s = 0.05
+        bed = build_testbed(
+            policy=IntervalTrace([(1_000.0, 1e9)]), group_commit=FIXED_50MS
+        )
         note = make_note()
         bed.server.put_object(note)
         bed.access.import_(note.urn)

@@ -175,6 +175,44 @@ class TestLiveDisconnection:
         finally:
             client.close()
 
+    def test_terminal_failure_through_the_shared_scheduler(self):
+        """Nothing ever listens: the NetworkScheduler retransmits once,
+        then fails terminally, and every callback runs on the loop."""
+        import threading
+
+        from repro.core.notification import EventType
+        from repro.net.scheduler import NetworkScheduler
+
+        probe = LiveServer("server")
+        address = probe.address
+        probe.close()
+
+        client = LiveClient(
+            "laptop", servers={"server": address},
+            call_timeout=0.5, max_attempts=2,
+        )
+        threads = []
+
+        def record(*__):
+            threads.append(threading.current_thread())
+
+        try:
+            assert isinstance(client.scheduler, NetworkScheduler)
+            client.access.notifications.subscribe(EventType.REQUEST_SENT, record)
+            client.access.notifications.subscribe(EventType.REQUEST_FAILED, record)
+            promise = client.access.import_(make_note().urn).on_failure(record)
+            assert client.clock.run_until(lambda: promise.is_done, timeout=TIMEOUT)
+            assert promise.failed
+            assert client.access.notifications.count(EventType.REQUEST_FAILED) == 1
+            assert client.scheduler.failed == 1
+            assert client.scheduler.retransmissions == 1
+            assert client.scheduler.idle()
+            assert len(threads) == 3  # sent, failed, promise rejection
+            assert {thread.name for thread in threads} == {"laptop-loop"}
+        finally:
+            client.close()
+        assert client.clock.errors == [], client.clock.errors
+
     def test_conflict_resolution_over_live_sockets(self):
         registry = ResolverRegistry()
         registry.register("note", FieldwiseMerge())

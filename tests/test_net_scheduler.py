@@ -234,3 +234,18 @@ def test_batch_gathers_only_same_destination():
     assert len(served["s1"]) == 3
     assert len(served["s2"]) == 3
     assert scheduler.batches_sent == 2  # one batch per destination
+
+
+def test_e11_batching_rows_pinned():
+    """Benchmark E11 in virtual time, exactly (guards the batch path)."""
+    from repro.bench.experiments import run_e11_batching
+
+    rows = [
+        (row["batch_max"], row["drain_time_s"], row["exchanges"], row["batches"])
+        for row in run_e11_batching()
+    ]
+    assert rows == [
+        (1, 8.116666666666504, 12, 0),
+        (4, 6.067777777777749, 3, 3),
+        (12, 5.505555555555546, 1, 1),
+    ]

@@ -107,7 +107,10 @@ def _ref_decode(data, pos, depth=0):
         for _ in range(count):
             key, pos = _ref_decode(data, pos, depth + 1)
             value, pos = _ref_decode(data, pos, depth + 1)
-            result[key] = value
+            try:
+                result[key] = value
+            except TypeError:
+                raise MarshalError("unhashable dict key") from None
         return result, pos
     raise MarshalError(f"unknown tag {tag!r} at offset {pos - 1}")
 
@@ -218,6 +221,13 @@ def test_corruption_never_diverges_from_reference(value, data):
         got = unmarshal(corrupt)
         assert _equivalent(got, expected)
         _assert_no_views(got)
+
+
+def test_corrupt_unhashable_dict_key_is_a_marshal_error():
+    """A flipped byte can turn a dict key into a list; decoding must
+    reject the frame as corrupt, not raise TypeError."""
+    with pytest.raises(MarshalError, match="unhashable"):
+        unmarshal(b"l\x05l\x00d\x80Nl\x00N")
 
 
 @settings(max_examples=200)
