@@ -51,6 +51,17 @@ def _ship_code_errors(code: str) -> list:
     )
 
 
+def _split_request_id(request_id: str) -> Optional[tuple[str, int]]:
+    """``"<client prefix>/<counter>"`` -> ``(prefix, counter)``, else None."""
+    prefix, sep, tail = request_id.rpartition("/")
+    if not sep:
+        return None
+    try:
+        return prefix, int(tail)
+    except ValueError:
+        return None
+
+
 class RoverServer:
     """Home server for one authority."""
 
@@ -118,6 +129,10 @@ class RoverServer:
         #: pruned exactly), and ``applied_cache_cap`` is the backstop
         #: for clients that never report one.
         self._applied: OrderedDict[str, dict] = OrderedDict()
+        #: client prefix -> {request_id: counter} for the ids in
+        #: ``_applied``, so a watermark prunes one client's entries
+        #: without walking every client's.
+        self._applied_by_client: dict[str, dict[str, int]] = {}
         self.applied_cache_cap = applied_cache_cap
         self.applied_pruned = 0
         #: Highest watermark seen per client id-prefix.
@@ -262,7 +277,7 @@ class RoverServer:
             key: OrderedDict((request_id, reply) for request_id, reply in entries)
             for key, entries in snapshot.get("committed_replies", {}).items()
         }
-        self._applied.clear()  # volatile: lost in the crash
+        self._clear_applied()  # volatile: lost in the crash
         self._locks.clear()    # leases do not survive a restart
 
     # -- anti-entropy (repro.ha) --------------------------------------------
@@ -329,7 +344,7 @@ class RoverServer:
             self._committed_replies[urn] = OrderedDict(
                 (request_id, reply) for request_id, reply in entries
             )
-        self._applied.clear()
+        self._clear_applied()
 
     def get_object(self, urn: str) -> Optional[RDO]:
         wire = self.store.get_value(urn)
@@ -388,13 +403,10 @@ class RoverServer:
         # the duplicate would be APPLIED AGAIN.  The eviction the
         # watermark licenses is only sound if the watermark itself keeps
         # deduplicating the evicted ids.
-        prefix, sep, tail = request_id.rpartition("/")
-        if not sep:
+        parsed = _split_request_id(request_id)
+        if parsed is None:
             return None
-        try:
-            counter = int(tail)
-        except ValueError:
-            return None
+        prefix, counter = parsed
         if counter < self._client_watermarks.get(prefix, -1):
             self.duplicates_suppressed += 1
             return {"status": "duplicate", "request_id": request_id}
@@ -402,12 +414,30 @@ class RoverServer:
 
     def _record_reply(self, request_id: Optional[str], reply: dict) -> dict:
         if request_id is not None:
+            parsed = _split_request_id(request_id)
+            if parsed is not None:
+                prefix, counter = parsed
+                self._applied_by_client.setdefault(prefix, {})[request_id] = counter
             self._applied[request_id] = reply
             self._applied.move_to_end(request_id)
             while len(self._applied) > self.applied_cache_cap:
-                self._applied.popitem(last=False)
+                evicted, __ = self._applied.popitem(last=False)
+                self._unindex_applied(evicted)
                 self.applied_pruned += 1
         return reply
+
+    def _unindex_applied(self, request_id: str) -> None:
+        parsed = _split_request_id(request_id)
+        if parsed is None:
+            return
+        ids = self._applied_by_client[parsed[0]]
+        del ids[request_id]
+        if not ids:
+            del self._applied_by_client[parsed[0]]
+
+    def _clear_applied(self) -> None:
+        self._applied.clear()
+        self._applied_by_client.clear()
 
     def _observe_watermark(self, body: Any) -> None:
         """Prune settled at-most-once entries for the sending client.
@@ -422,23 +452,23 @@ class RoverServer:
         ackw = body.get("ackw")
         if not isinstance(ackw, list) or len(ackw) != 2:
             return
-        prefix, watermark = str(ackw[0]), int(ackw[1])
+        try:
+            watermark = int(ackw[1])
+        except (TypeError, ValueError, OverflowError):
+            return
+        prefix = str(ackw[0])
         if self._client_watermarks.get(prefix, -1) >= watermark:
             return
         self._client_watermarks[prefix] = watermark
-        stale = []
-        for request_id in self._applied:
-            head, sep, tail = request_id.rpartition("/")
-            if not sep or head != prefix:
-                continue
-            try:
-                counter = int(tail)
-            except ValueError:
-                continue
-            if counter < watermark:
-                stale.append(request_id)
+        ids = self._applied_by_client.get(prefix)
+        if not ids:
+            return
+        stale = [rid for rid, counter in ids.items() if counter < watermark]
         for request_id in stale:
             del self._applied[request_id]
+            del ids[request_id]
+        if not ids:
+            del self._applied_by_client[prefix]
         self.applied_pruned += len(stale)
 
     def _authorized(self, body: Any) -> bool:

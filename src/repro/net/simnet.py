@@ -136,6 +136,13 @@ class _Transfer:
     method handed straight to the simulator (repro.speed — closures
     captured six cells each and dominated allocation on 10k-client
     drains).
+
+    A transfer lives in its link's ``_inflight`` only until it
+    completes: :meth:`complete` removes it and drops its
+    ``deliver_event`` (the event holds ``complete``, so the pair would
+    otherwise form a cycle), and finished work — the payload and the
+    sender's failure-callback chain — is freed by reference counting
+    the moment it is delivered instead of waiting for the cyclic GC.
     """
 
     __slots__ = (
@@ -147,7 +154,6 @@ class _Transfer:
         "fail",
         "charge",
         "deliver_event",
-        "done",
     )
 
     def __init__(
@@ -168,14 +174,11 @@ class _Transfer:
         self.fail = fail
         self.charge = charge
         self.deliver_event: Any = None
-        self.done = False
 
     def complete(self) -> None:
-        if self.done:
-            return
-        self.done = True
         link = self.link
-        link._note_transfer_done()
+        del link._inflight[self]
+        self.deliver_event = None
         delivery = self.delivery
         if delivery.fail_reason is not None:
             link.transfers_failed += 1
@@ -236,8 +239,8 @@ class Link:
         self.bytes_carried = 0
         self.transfers_failed = 0
         self._busy_until = {host_a.name: 0.0, host_b.name: 0.0}
-        self._inflight: list[_Transfer] = []
-        self._inflight_done = 0
+        #: Transfers not yet delivered or failed, in send order.
+        self._inflight: dict[_Transfer, None] = {}
         self._listeners: list[Callable[["Link", bool], None]] = []
         self._loss_rng = make_rng(network.seed, f"loss:{name}")
         #: Optional chaos hook: an object with
@@ -271,33 +274,14 @@ class Link:
         self._watch_transitions()
 
     def _fail_inflight(self, reason: str) -> int:
-        # Swap the list first and walk it in send order: a failure
+        # Swap the map first and walk it in send order: a failure
         # callback may issue new sends, which must not be failed too.
-        transfers, self._inflight = self._inflight, []
-        self._inflight_done = 0
-        failed = 0
+        transfers, self._inflight = self._inflight, {}
         for transfer in transfers:
-            if transfer.done:
-                continue
-            transfer.done = True
             transfer.deliver_event.cancel()
             self.transfers_failed += 1
-            failed += 1
             transfer.fail(reason)
-        return failed
-
-    def _note_transfer_done(self) -> None:
-        """Amortized, order-preserving cleanup of completed transfers.
-
-        Completion marks the transfer done; the list is compacted only
-        when completed entries pile up (the old per-completion
-        ``list.remove`` was O(n) per delivery).
-        """
-        self._inflight_done += 1
-        done = self._inflight_done
-        if done > 32 and done * 2 > len(self._inflight):
-            self._inflight = [t for t in self._inflight if not t.done]
-            self._inflight_done = 0
+        return len(transfers)
 
     def fail_inflight(self, reason: str) -> int:
         """Fail every in-flight transfer (e.g. the peer process crashed).
@@ -389,7 +373,7 @@ class Link:
     ) -> None:
         transfer = _Transfer(self, receiver, port, source, delivery, fail, charge)
         transfer.deliver_event = self.sim.schedule_at(delivery.time, transfer.complete)
-        self._inflight.append(transfer)
+        self._inflight[transfer] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.is_up else "down"
