@@ -49,21 +49,21 @@ check:
 
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_e14_wire.py benchmarks/test_micro_primitives.py --benchmark-only
-	$(PYTHON) scripts/check_e14_regression.py
+	$(PYTHON) -m repro.bench --gate e14
 
 # CPU hot path: codec/group-commit/kernel suite, determinism digest
 # pins, and the E16 drain-throughput gate at CI scale
 # (docs/PERFORMANCE.md, "The CPU hot path").
 speed:
 	$(PYTHON) -m pytest -q tests/test_speed.py tests/test_determinism.py
-	$(PYTHON) scripts/check_e16_regression.py
+	$(PYTHON) -m repro.bench --gate e16
 
 # Fleet telemetry: unit/integration suite plus the E15 overhead +
 # exactness gate at CI scale (docs/OBSERVABILITY.md).
 fleet:
 	$(PYTHON) -m pytest -q tests/test_fleet_sketch.py tests/test_fleet_pipeline.py \
 		tests/test_fleet_health.py tests/test_fleet_chaos.py
-	$(PYTHON) scripts/check_e15_regression.py
+	$(PYTHON) -m repro.bench --gate e15
 
 demo:
 	$(PYTHON) -m repro

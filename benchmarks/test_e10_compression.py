@@ -10,28 +10,12 @@ WaveLAN the win shrinks (latency and flush costs dominate).
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e10_compression
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e10_compression(benchmark):
     rows = benchmark.pedantic(run_e10_compression, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E10 - mail prefetch with/without wire compression",
-            ["link", "raw bytes", "zlib bytes", "raw time", "zlib time", "time saved"],
-            [
-                [
-                    r["link"],
-                    r["raw_bytes"],
-                    r["compressed_bytes"],
-                    format_seconds(r["raw_time_s"]),
-                    format_seconds(r["compressed_time_s"]),
-                    f"{r['time_saved_pct']:.0f}%",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e10"].tables[0].render(rows))
     by_link = {r["link"]: r for r in rows}
     for r in rows:
         assert r["compressed_bytes"] < r["raw_bytes"]

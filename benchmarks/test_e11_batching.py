@@ -9,26 +9,12 @@ amortized) while the number of exchanges drops to ~n/batch.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e11_batching
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e11_batching(benchmark):
     rows = benchmark.pedantic(run_e11_batching, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E11 - drain 12 queued imports on reconnect (cslip-14.4)",
-            ["batch size", "drain time", "wire exchanges", "batches"],
-            [
-                [
-                    "none" if r["batch_max"] == 1 else r["batch_max"],
-                    format_seconds(r["drain_time_s"]),
-                    r["exchanges"],
-                    r["batches"],
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e11"].tables[0].render(rows))
     unbatched, mid, full = rows
     # Fewer exchanges...
     assert full["exchanges"] < mid["exchanges"] < unbatched["exchanges"]

@@ -9,32 +9,13 @@ conflicts, paying for it in serialized lock waits.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e12_locking
-from repro.bench.tables import format_seconds, format_table
-
-FIELDS = [
-    "edits_attempted",
-    "edits_completed",
-    "manual_conflicts",
-    "server_version",
-    "lock_denials",
-]
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e12_locking(benchmark):
     results = benchmark.pedantic(run_e12_locking, rounds=1, iterations=1)
     optimistic, locked = results["optimistic"], results["locked"]
-    rows = [[field, optimistic[field], locked[field]] for field in FIELDS]
-    rows.append(
-        ["elapsed", format_seconds(optimistic["elapsed_s"]),
-         format_seconds(locked["elapsed_s"])]
-    )
-    record_report(
-        format_table(
-            "E12 - 4 clients x 2 edits of one field (optimistic vs locks)",
-            ["metric", "optimistic", "check-out locks"],
-            rows,
-        )
-    )
+    record_report(EXPERIMENTS["e12"].tables[0].render(results))
     # Optimistic: real conflicts, lost updates (version << attempts+1).
     assert optimistic["manual_conflicts"] >= 1
     assert optimistic["server_version"] < 1 + optimistic["edits_attempted"]

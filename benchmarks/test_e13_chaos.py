@@ -13,32 +13,12 @@ application-visible cost.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e13_chaos
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e13_chaos(benchmark):
     rows = benchmark.pedantic(run_e13_chaos, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E13 - availability under seeded chaos (mail workload)",
-            ["config", "sends", "acked", "mean ack", "p95 ack", "retx",
-             "faults", "corrupt det", "violations"],
-            [
-                [
-                    r["config"],
-                    r["sends"],
-                    r["acked"],
-                    format_seconds(r["mean_ack_s"]),
-                    format_seconds(r["p95_ack_s"]),
-                    r["retransmissions"],
-                    r["faults_injected"],
-                    r["corrupt_detected"],
-                    r["violations"],
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e13"].tables[0].render(rows))
     clean, chaos = rows
     # Both configurations converge: every invariant holds.
     assert clean["violations"] == 0

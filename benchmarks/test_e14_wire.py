@@ -12,32 +12,12 @@ reproduces every row bit-for-bit.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e14_wire
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e14_wire(benchmark):
     rows = benchmark.pedantic(run_e14_wire, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E14 - bytes-on-wire: log compaction + delta shipping",
-            ["link", "config", "queued", "bytes", "drain", "compacted",
-             "delta saved", "marshal hits", "violations"],
-            [
-                [
-                    r["link"],
-                    r["config"],
-                    r["queued_at_reconnect"],
-                    r["bytes_wire"],
-                    format_seconds(r["drain_s"]),
-                    r["ops_compacted"],
-                    r["delta_bytes_saved"],
-                    r["marshal_cache_hits"],
-                    r["violations"],
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e14"].tables[0].render(rows))
     by_key = {(r["link"], r["config"]): r for r in rows}
     for link in ("cslip-14.4k", "cslip-2.4k"):
         clean = by_key[(link, "clean")]

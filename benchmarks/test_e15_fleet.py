@@ -13,33 +13,12 @@ re-ship produce duplicates the (client, seq) idempotency must absorb.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e15_fleet
-from repro.bench.tables import format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e15_fleet(benchmark):
     rows = benchmark.pedantic(run_e15_fleet, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E15 - fleet telemetry: shipping overhead + aggregation exactness",
-            ["config", "clients", "wire bytes", "telemetry", "overhead",
-             "sent", "acked", "dups", "gaps", "exact"],
-            [
-                [
-                    r["config"],
-                    r["clients"],
-                    r["wire_bytes"],
-                    r["telemetry_bytes"],
-                    f"{r['overhead_pct']:.2f}%",
-                    r["reports_sent"],
-                    r["reports_acked"],
-                    r["duplicates"],
-                    r["open_gaps"],
-                    r["exact"],
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e15"].tables[0].render(rows))
     by_config = {r["config"]: r for r in rows}
     clean = by_config["clean"]
     telemetry = by_config["telemetry"]

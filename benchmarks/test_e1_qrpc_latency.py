@@ -8,27 +8,12 @@ dominant on the LAN to small on dial-up.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e1_qrpc_latency
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e1_qrpc_latency(benchmark):
     rows = benchmark.pedantic(run_e1_qrpc_latency, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E1 - null QRPC vs blocking RPC per link",
-            ["link", "blocking RPC", "QRPC", "QRPC overhead", "overhead %"],
-            [
-                [
-                    r["link"],
-                    format_seconds(r["rpc_s"]),
-                    format_seconds(r["qrpc_s"]),
-                    format_seconds(r["overhead_s"]),
-                    f"{r['overhead_pct']:.0f}%",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e1"].tables[0].render(rows))
     # Latency ordering follows bandwidth/latency ordering.
     qrpc_times = [r["qrpc_s"] for r in rows]
     assert qrpc_times == sorted(qrpc_times)

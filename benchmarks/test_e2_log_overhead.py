@@ -8,26 +8,12 @@ to under ~10% on the dial-up links.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e2_log_overhead
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e2_log_overhead(benchmark):
     rows = benchmark.pedantic(run_e2_log_overhead, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E2 - log-flush overhead ablation (flush on vs off)",
-            ["link", "QRPC w/ flush", "QRPC w/o flush", "flush share"],
-            [
-                [
-                    r["link"],
-                    format_seconds(r["qrpc_with_flush_s"]),
-                    format_seconds(r["qrpc_without_flush_s"]),
-                    f"{r['flush_fraction_pct']:.1f}%",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e2"].tables[0].render(rows))
     by_link = {r["link"]: r for r in rows}
     # Flushing always costs something...
     for r in rows:

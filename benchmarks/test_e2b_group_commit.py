@@ -12,26 +12,12 @@ beats per-request flushing; an oversized window re-introduces latency
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e2b_group_commit
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e2b_group_commit(benchmark):
     rows = benchmark.pedantic(run_e2b_group_commit, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E2b - 10-QRPC burst on ethernet: group-commit windows",
-            ["window", "burst completion", "log flushes", "flush seconds"],
-            [
-                [
-                    "per-request" if r["window_s"] == 0 else format_seconds(r["window_s"]),
-                    format_seconds(r["burst_completion_s"]),
-                    r["flushes"],
-                    format_seconds(r["flush_seconds"]),
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e2b"].tables[0].render(rows))
     per_request, small_window, large_window = rows
     # A modest window amortizes the serial disk and wins outright.
     assert small_window["burst_completion_s"] < 0.5 * per_request["burst_completion_s"]

@@ -10,26 +10,12 @@ crossover near the LAN where a fast RPC beats local interpretation.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e3_local_vs_rpc
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e3_local_vs_rpc(benchmark):
     rows = benchmark.pedantic(run_e3_local_vs_rpc, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E3 - local cached invocation vs RPC per link",
-            ["link", "local invoke", "RPC", "local speedup"],
-            [
-                [
-                    r["link"],
-                    format_seconds(r["local_invoke_s"]),
-                    format_seconds(r["rpc_s"]),
-                    f"{r['speedup']:.1f}x",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e3"].tables[0].render(rows))
     by_link = {r["link"]: r for r in rows}
     # The headline: ~56x over TCP/CSLIP14.4 (paper: 56x).
     assert 40.0 < by_link["cslip-14.4k"]["speedup"] < 75.0

@@ -9,27 +9,12 @@ after that, on every link.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e4_migration
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e4_migration(benchmark):
     rows = benchmark.pedantic(run_e4_migration, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E4 - N per-operation QRPCs vs one shipped RDO",
-            ["link", "N", "N QRPCs", "shipped RDO", "ship speedup"],
-            [
-                [
-                    r["link"],
-                    r["n_ops"],
-                    format_seconds(r["per_op_qrpc_s"]),
-                    format_seconds(r["shipped_rdo_s"]),
-                    f"{r['speedup']:.1f}x",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e4"].tables[0].render(rows))
     by_key = {(r["link"], r["n_ops"]): r for r in rows}
     links = sorted({r["link"] for r in rows})
     for link in links:

@@ -11,27 +11,12 @@ while the blocking reader fails outright.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e5_disconnected_mail, run_e5_mail
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e5_mail_read_performance(benchmark):
     rows = benchmark.pedantic(run_e5_mail, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E5 - read a 12-message folder (scan + read + mark read)",
-            ["link", "Rover cold", "Rover prefetched", "blocking reader", "warm speedup"],
-            [
-                [
-                    r["link"],
-                    format_seconds(r["rover_cold_s"]),
-                    format_seconds(r["rover_prefetched_s"]),
-                    format_seconds(r["blocking_s"]),
-                    f"{r['warm_speedup_vs_blocking']:.0f}x",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e5"].tables[0].render(rows))
     by_link = {r["link"]: r for r in rows}
     warm_times = [r["rover_prefetched_s"] for r in rows]
     # Cache-hit reads are flat w.r.t. the link (local interpreter only).
@@ -48,13 +33,7 @@ def test_e5_mail_read_performance(benchmark):
 
 def test_e5_disconnected_operation(benchmark):
     result = benchmark.pedantic(run_e5_disconnected_mail, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E5b - disconnected mail session (prefetched, then link down)",
-            ["metric", "value"],
-            [[k, v] for k, v in result.items()],
-        )
-    )
+    record_report(EXPERIMENTS["e5"].tables[1].render(result))
     assert result["rover_reads_while_disconnected"] == result["n_messages"]
     assert result["blocking_reader_failed"] is True
     assert result["flag_updates_committed_after_reconnect"] == result["n_messages"]

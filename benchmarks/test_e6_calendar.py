@@ -11,18 +11,7 @@ against.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e6_calendar
-from repro.bench.tables import format_table
-
-FIELDS = [
-    "ops_applied",
-    "server_events",
-    "exports_committed",
-    "exports_resolved",
-    "exports_conflicted",
-    "manual_conflicts_reported",
-    "auto_reslotted",
-    "replicas_clean",
-]
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e6_calendar_resolution(benchmark):
@@ -31,16 +20,9 @@ def test_e6_calendar_resolution(benchmark):
     )
     strict = run_e6_calendar(resolver="calendar-strict")
     none = run_e6_calendar(resolver="keep-server")
-    rows = [
-        [field, full[field], strict[field], none[field]] for field in FIELDS
-    ]
-    record_report(
-        format_table(
-            "E6 - two disconnected replicas, 30 ops (resolver ablation)",
-            ["metric", "type-specific+reslot", "type-specific", "no resolver"],
-            rows,
-        )
-    )
+    record_report(EXPERIMENTS["e6"].tables[0].render(
+        {"calendar": full, "calendar-strict": strict, "keep-server": none}
+    ))
     # Full resolver: "many conflicts can be resolved automatically" —
     # concurrent exports merged, double bookings repaired, and strictly
     # fewer conflicts reach the user than under the ablations.  (A

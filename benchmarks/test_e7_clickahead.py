@@ -17,37 +17,12 @@ reading time per page, clicking on a fixed schedule.  Shape asserted:
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e7_clickahead, run_e7_threshold_sweep
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e7_clickahead(benchmark):
     rows = benchmark.pedantic(run_e7_clickahead, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E7 - browse 6 pages, 30s think time (per-user-session totals)",
-            [
-                "link",
-                "blocking session",
-                "blocking wait",
-                "click-ahead session",
-                "click-ahead wait",
-                "prefetch session",
-                "prefetch wait",
-            ],
-            [
-                [
-                    r["link"],
-                    format_seconds(r["blocking_session_s"]),
-                    format_seconds(r["blocking_user_wait_s"]),
-                    format_seconds(r["clickahead_session_s"]),
-                    format_seconds(r["clickahead_user_wait_s"]),
-                    format_seconds(r["prefetch_session_s"]),
-                    format_seconds(r["prefetch_user_wait_s"]),
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e7"].tables[0].render(rows))
     by_link = {r["link"]: r for r in rows}
     for r in rows:
         # Click-ahead always shortens the session vs blocking, and
@@ -70,21 +45,7 @@ def test_e7_clickahead(benchmark):
 
 def test_e7_prefetch_threshold_sweep(benchmark):
     rows = benchmark.pedantic(run_e7_threshold_sweep, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E7b - prefetch threshold sweep (cslip-14.4, 30s think time)",
-            ["threshold", "user wait", "prefetches", "bytes on wire"],
-            [
-                [
-                    format_seconds(r["threshold_s"]),
-                    format_seconds(r["user_wait_s"]),
-                    r["prefetches"],
-                    r["bytes_on_wire"],
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e7"].tables[1].render(rows))
     # Aggressive thresholds trade bytes for wait; conservative ones the
     # reverse.  Both ends of the sweep must show the trade-off.
     aggressive = rows[0]

@@ -9,27 +9,13 @@ stalling until the link returns.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e8_priority, run_e8_relay_fallback
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e8_priority_vs_fifo(benchmark):
     priority = benchmark.pedantic(run_e8_priority, rounds=1, iterations=1)
     fifo = run_e8_priority(fifo_only=True)
-    record_report(
-        format_table(
-            "E8 - urgent QRPC behind a 12-object bulk queue (cslip-14.4)",
-            ["metric", "priority scheduler", "FIFO ablation"],
-            [
-                ["urgent completion", format_seconds(priority["urgent_done_s"]),
-                 format_seconds(fifo["urgent_done_s"])],
-                ["first bulk completion", format_seconds(priority["first_bulk_done_s"]),
-                 format_seconds(fifo["first_bulk_done_s"])],
-                ["last bulk completion", format_seconds(priority["last_bulk_done_s"]),
-                 format_seconds(fifo["last_bulk_done_s"])],
-                ["all delivered", priority["all_done"], fifo["all_done"]],
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e8"].tables[0].render({"priority": priority, "fifo": fifo}))
     assert priority["all_done"] and fifo["all_done"]
     # Priority: the urgent request overtakes the parked bulk queue.
     assert priority["urgent_done_s"] < 0.1 * fifo["urgent_done_s"]
@@ -39,16 +25,7 @@ def test_e8_priority_vs_fifo(benchmark):
 
 def test_e8_relay_fallback(benchmark):
     result = benchmark.pedantic(run_e8_relay_fallback, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E8b - direct link down 10 min; queued SMTP route available",
-            ["configuration", "QRPC completion after issue"],
-            [
-                ["direct link only", format_seconds(result["direct_only_latency_s"])],
-                ["with SMTP relay route", format_seconds(result["with_relay_latency_s"])],
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["e8"].tables[1].render(result))
     # Without the relay the QRPC waits out the outage (~590 s);
     # with it, the mail path delivers while the link is still down.
     assert result["direct_only_latency_s"] > 400.0

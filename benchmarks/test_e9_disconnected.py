@@ -8,18 +8,12 @@ drains after reconnect, and tentative state fully converges.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_e9_disconnected
-from repro.bench.tables import format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_e9_disconnected_end_to_end(benchmark):
     result = benchmark.pedantic(run_e9_disconnected, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "E9 - disconnect/work/reconnect cycle, all three applications",
-            ["metric", "value"],
-            [[k, v] for k, v in result.items()],
-        )
-    )
+    record_report(EXPERIMENTS["e9"].tables[0].render(result))
     assert result["offline_reads_served"] == 4          # every mail read hit cache
     assert result["offline_page_from_cache"] is True    # prefetched page displayed
     assert result["qrpcs_queued_while_down"] > 0        # work queued, none blocked

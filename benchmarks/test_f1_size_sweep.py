@@ -7,26 +7,12 @@ within a small constant: log flush, request transmission, propagation).
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_f1_size_sweep
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_f1_size_sweep(benchmark):
     rows = benchmark.pedantic(run_f1_size_sweep, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "F1 - import latency vs object size",
-            ["link", "size", "import", "analytic transfer"],
-            [
-                [
-                    r["link"],
-                    f"{r['size_bytes'] // 1024}KB",
-                    format_seconds(r["import_s"]),
-                    format_seconds(r["analytic_tx_s"]),
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["f1"].tables[0].render(rows))
     by_link: dict[str, list[dict]] = {}
     for r in rows:
         by_link.setdefault(r["link"], []).append(r)

@@ -9,25 +9,12 @@ tracks how often the link happens to be up.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_f2_availability
-from repro.bench.tables import format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_f2_availability(benchmark):
     rows = benchmark.pedantic(run_f2_availability, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "F2 - mail-read availability vs link duty cycle (cslip-14.4)",
-            ["link duty cycle", "Rover availability", "conventional client"],
-            [
-                [
-                    f"{r['duty_cycle_pct']:.0f}%",
-                    f"{r['rover_availability_pct']:.0f}%",
-                    f"{r['blocking_availability_pct']:.0f}%",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["f2"].tables[0].render(rows))
     for r in rows:
         # Rover never leaves the user waiting on the link.
         assert r["rover_availability_pct"] == 100.0

@@ -8,26 +8,12 @@ with the population (air time serializes), roughly linearly.
 
 from benchmarks.conftest import record_report
 from repro.bench.experiments import run_f3_shared_cell
-from repro.bench.tables import format_seconds, format_table
+from repro.bench.specs import EXPERIMENTS
 
 
 def test_f3_shared_cell(benchmark):
     rows = benchmark.pedantic(run_f3_shared_cell, rounds=1, iterations=1)
-    record_report(
-        format_table(
-            "F3 - N clients hoarding at once (wavelan-2Mb cell)",
-            ["clients", "shared cell", "dedicated links", "slowdown"],
-            [
-                [
-                    r["clients"],
-                    format_seconds(r["shared_cell_s"]),
-                    format_seconds(r["dedicated_links_s"]),
-                    f"{r['slowdown']:.1f}x",
-                ]
-                for r in rows
-            ],
-        )
-    )
+    record_report(EXPERIMENTS["f3"].tables[0].render(rows))
     # Dedicated links: population-independent.
     dedicated = [r["dedicated_links_s"] for r in rows]
     assert max(dedicated) < 1.2 * min(dedicated)

@@ -2,9 +2,10 @@
 
 Each ``run_*`` function builds its scenario on the simulated testbed,
 runs it in virtual time, and returns a list of result rows (dicts).
-The benchmark files under ``benchmarks/`` print these as paper-style
-tables and assert the expected shape; EXPERIMENTS.md records the
-numbers next to the paper's claims.
+:mod:`repro.bench.specs` declares the paper-style table each result
+prints as; the benchmark files under ``benchmarks/`` assert the
+expected shape; EXPERIMENTS.md records the numbers next to the paper's
+claims.
 """
 
 from __future__ import annotations
@@ -1175,9 +1176,7 @@ def _e14_one(
 
     def total(name: str) -> int:
         metric = bed.obs.registry.get(name)
-        if metric is None:
-            return 0
-        return int(sum(child.value for __, child in metric.children()))
+        return 0 if metric is None else int(metric.value)
 
     violations = list(check_logs_drained([bed.access]))
     violations += check_cache_coherent(bed.server, [bed.access])

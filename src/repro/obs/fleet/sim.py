@@ -43,26 +43,12 @@ from repro.chaos.faults import LinkFaultSpec
 from repro.chaos.plan import FaultPlan, LinkFaultWindow, ServerOutage
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
-from repro.net.link import (
-    CSLIP_2_4,
-    CSLIP_14_4,
-    ETHERNET_10M,
-    WAVELAN_2M,
-    LinkSpec,
-    PeriodicSchedule,
-)
+from repro.net.link import CSLIP_2_4, STANDARD_LINKS, PeriodicSchedule
 from repro.obs.fleet.aggregator import FleetAggregator
 from repro.obs.fleet.report import TelemetryReporter
 from repro.obs.fleet.slo import DEFAULT_SLO_RULES
 from repro.testbed import MultiClientTestbed, build_multi_client_testbed
-
-#: The mixed link population: client ``i`` gets ``MIX[i % 4]``.
-LINK_MIX: tuple[LinkSpec, ...] = (
-    ETHERNET_10M,
-    WAVELAN_2M,
-    CSLIP_14_4,
-    CSLIP_2_4,
-)
+from repro.workloads.population import PAYLOAD_DIVISOR
 
 _PING_CODE = '''
 def ping(state):
@@ -84,13 +70,6 @@ _PING_INTERFACE = RDOInterface(
     ]
 )
 
-#: Foreground payload divisor per :data:`LINK_MIX` position — slow
-#: links carry proportionally lighter application payloads, the way a
-#: real mobile app adapts fidelity to bandwidth (cf. the paper's
-#: CSLIP-aware Exmh/proxy behaviour).
-_PAYLOAD_DIVISOR = (1, 1, 8, 16)
-
-
 @dataclass(frozen=True)
 class FleetScenario:
     """One reproducible fleet run (frozen: a scenario plus nothing)."""
@@ -103,7 +82,7 @@ class FleetScenario:
     #: Remote invokes each client spreads over the horizon.
     invokes_per_client: int = 16
     #: Echo payload for fast-link clients; slower classes carry
-    #: ``payload_bytes // _PAYLOAD_DIVISOR[class]``.
+    #: ``payload_bytes // PAYLOAD_DIVISOR[class]``.
     payload_bytes: int = 8192
     telemetry: bool = True
     chaos: bool = False
@@ -201,7 +180,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
     """Wire the testbed, aggregator, reporters, and workload events."""
     policies = []
     for index in range(scenario.n_clients):
-        spec = LINK_MIX[index % len(LINK_MIX)]
+        spec = STANDARD_LINKS[index % len(STANDARD_LINKS)]
         if spec is CSLIP_2_4:
             # The slowest class also disconnects: down longer than the
             # report interval, so queued reports pile up and fold.
@@ -214,7 +193,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             policies.append(None)
     bed = build_multi_client_testbed(
         scenario.n_clients,
-        link_specs=list(LINK_MIX),
+        link_specs=list(STANDARD_LINKS),
         policies=policies,
         authority=scenario.authority,
         seed=scenario.seed,
@@ -249,7 +228,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
                 scenario.authority,
                 obs=stack.obs,
                 interval_s=scenario.report_interval_s,
-                link_class=LINK_MIX[index % len(LINK_MIX)].name,
+                link_class=STANDARD_LINKS[index % len(STANDARD_LINKS)].name,
             )
             # Golden-ratio stagger: deterministic, and spreads report
             # instants nearly uniformly so the server never sees a
@@ -265,7 +244,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             start, lambda s=stack, u=urn: s.access.import_(u)
         )
         gap = scenario.horizon_s / (scenario.invokes_per_client + 1)
-        divisor = _PAYLOAD_DIVISOR[index % len(LINK_MIX)]
+        divisor = PAYLOAD_DIVISOR[index % len(STANDARD_LINKS)]
         blob = "x" * max(1, scenario.payload_bytes // divisor)
         for step in range(scenario.invokes_per_client):
             if step % 4 == 0:

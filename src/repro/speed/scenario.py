@@ -16,23 +16,15 @@ from dataclasses import dataclass
 
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
-from repro.net.link import (
-    CSLIP_14_4,
-    CSLIP_2_4,
-    ETHERNET_10M,
-    WAVELAN_2M,
-    IntervalTrace,
-)
+from repro.net.link import STANDARD_LINKS, IntervalTrace
 from repro.storage.stable_log import GroupCommitPolicy
 from repro.testbed import MultiClientTestbed, build_multi_client_testbed
-from repro.workloads.population import ClientProfile, CohortSpec, generate_population
-
-#: Same four-class mix the fleet-telemetry experiment uses.
-LINK_MIX = (ETHERNET_10M, WAVELAN_2M, CSLIP_14_4, CSLIP_2_4)
-
-#: Slow links carry proportionally lighter payloads (fidelity
-#: adaptation, as in the fleet scenario).
-_PAYLOAD_DIVISOR = (1, 1, 8, 16)
+from repro.workloads.population import (
+    PAYLOAD_DIVISOR,
+    ClientProfile,
+    CohortSpec,
+    generate_population,
+)
 
 _ECHO_CODE = '''
 def bump(state):
@@ -98,11 +90,7 @@ def _sum_counter(bed: MultiClientTestbed, name: str) -> int:
     registries.extend(s.obs.registry for s in bed.clients if s.obs is not None)
     for registry in registries:
         metric = registry.get(name)
-        if metric is None:
-            continue
-        if metric.labelnames:
-            total += sum(child.value for _, child in metric.children())
-        else:
+        if metric is not None:
             total += metric.value
     return int(total)
 
@@ -115,9 +103,9 @@ def build_drain(scenario: SpeedScenario):
             name=spec.name,
             link_index=index,
             n_ops=scenario.ops_per_client,
-            payload_bytes=max(1, scenario.payload_bytes // _PAYLOAD_DIVISOR[index]),
+            payload_bytes=max(1, scenario.payload_bytes // PAYLOAD_DIVISOR[index]),
         )
-        for index, spec in enumerate(LINK_MIX)
+        for index, spec in enumerate(STANDARD_LINKS)
     ]
     profiles = generate_population(
         scenario.seed,
@@ -131,7 +119,7 @@ def build_drain(scenario: SpeedScenario):
     ]
     bed = build_multi_client_testbed(
         scenario.n_clients,
-        link_specs=list(LINK_MIX),
+        link_specs=list(STANDARD_LINKS),
         policies=policies,
         authority=scenario.authority,
         seed=scenario.seed,

@@ -47,6 +47,13 @@ class ClientProfile:
     payload: bytes
 
 
+#: Payload divisor per :data:`repro.net.link.STANDARD_LINKS` position:
+#: slow links carry proportionally lighter application payloads, the
+#: way a real mobile app adapts fidelity to bandwidth (cf. the paper's
+#: CSLIP-aware Exmh/proxy behaviour).
+PAYLOAD_DIVISOR = (1, 1, 8, 16)
+
+
 @dataclass(frozen=True)
 class CohortSpec:
     """Per-link-class workload shape."""

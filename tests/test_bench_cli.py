@@ -1,10 +1,9 @@
 """CLI runner tests (python -m repro.bench)."""
 
-import os
-
 import pytest
 
-from repro.bench.__main__ import EXPERIMENTS, RAW, main, write_csv
+from repro.bench import experiments
+from repro.bench.__main__ import EXPERIMENTS, main, write_csv
 
 
 def test_list_prints_all_ids(capsys):
@@ -39,5 +38,20 @@ def test_write_csv_skips_table_only_experiments(tmp_path):
     assert written == []
 
 
-def test_every_raw_producer_is_a_known_experiment():
-    assert set(RAW) <= set(EXPERIMENTS)
+def test_registry_ids_are_the_listed_experiments():
+    ids = {f"e{n}" for n in range(1, 17)} | {"e2b", "f1", "f2", "f3"}
+    assert set(EXPERIMENTS) == ids
+
+
+def test_csv_runs_each_driver_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = experiments.run_e3_local_vs_rpc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_e3_local_vs_rpc", counting)
+    assert main(["e3", "--csv", str(tmp_path)]) == 0
+    assert (tmp_path / "e3.csv").exists()
+    assert len(calls) == 1
