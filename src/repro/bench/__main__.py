@@ -39,7 +39,7 @@ def write_csv(
 
     An experiment's CSV holds its first table's rows, when its driver
     returns row dicts.  ``results`` maps ids to that driver's result
-    from a run already made; ids missing from it are run here.
+    from a run already made; nothing is run here.
     """
     os.makedirs(directory, exist_ok=True)
     written = []
@@ -47,7 +47,7 @@ def write_csv(
         table = EXPERIMENTS[name].tables[0]
         if table.rows is not None:
             continue
-        rows = results[name] if results and name in results else table.run()
+        rows = (results or {}).get(name)
         if not rows:
             continue
         path = os.path.join(directory, f"{name}.csv")

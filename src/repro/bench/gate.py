@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Any, Optional
 
 from repro.bench.specs import EXPERIMENTS, Gate
 
 TOLERANCE = 0.10  # >10% growth over the baseline fails
+
+#: Where the committed ``BENCH_*.json`` baselines live: the repository
+#: root above ``src/``, whatever the working directory.
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+)
 
 
 def _label(gate: Gate, row: dict, name: str) -> str:
@@ -35,7 +42,10 @@ def load_baseline(gate: Gate, root: str) -> Optional[list[dict]]:
 
 
 def check(name: str, gate: Gate, rows: list[dict], baseline: list[dict]) -> list[str]:
-    """Every way ``rows`` fail the gate against ``baseline``; empty if none."""
+    """Every way ``rows`` fail the gate against ``baseline``; empty if none.
+
+    Prints each growth-bounded field beside its baseline and allowance.
+    """
     failures = []
     base_by_key = {tuple(b[k] for k in gate.key): b for b in baseline}
     for row in rows:
@@ -55,6 +65,8 @@ def check(name: str, gate: Gate, rows: list[dict], baseline: list[dict]) -> list
                 failures.append(f"{label}: {field} is {row[field]!r}, must be {want!r}")
         for field in gate.growth:
             allowed = base[field] * (1.0 + TOLERANCE)
+            print(f"{label}: {field} {row[field]} "
+                  f"(baseline {base[field]}, allowed {allowed:.3f})")
             if row[field] > allowed:
                 failures.append(
                     f"{label}: {field} {row[field]} exceeds baseline {base[field]} "
@@ -91,26 +103,33 @@ def write_baseline(gate: Gate, rows: list[dict], root: str) -> str:
     return path
 
 
-def run(names: list[str], update: bool, root: str = ".") -> int:
-    """Run each named gate at gate scale; 1 if any fails, else 0."""
+def run(names: list[str], update: bool) -> int:
+    """Run each named gate at gate scale.
+
+    Returns 2 if a baseline is missing, else 1 if any gate fails, else 0.
+    """
     status = 0
     for name in names:
         gate, table = EXPERIMENTS[name].gate, EXPERIMENTS[name].tables[0]
         rows = table.run(**gate.kwargs)
         if update:
-            print(f"wrote {len(rows)} baseline row(s) to {write_baseline(gate, rows, root)}")
+            path = write_baseline(gate, rows, REPO_ROOT)
+            print(f"wrote {len(rows)} baseline row(s) to {path}")
             continue
         print(table.render(rows))
-        baseline = load_baseline(gate, root)
+        print()
+        baseline = load_baseline(gate, REPO_ROOT)
         if baseline is None:
-            failures = [f"missing baseline {gate.baseline}; run with --update first"]
-        else:
-            failures = check(name, gate, rows, baseline)
+            path = os.path.join(REPO_ROOT, gate.baseline)
+            print(f"missing baseline {path}; run with --update first", file=sys.stderr)
+            status = 2
+            continue
+        failures = check(name, gate, rows, baseline)
         if failures:
-            status = 1
-            print(f"\n{name} regression gate FAILED:")
+            status = max(status, 1)
+            print(f"\n{name} regression gate FAILED:", file=sys.stderr)
             for failure in failures:
-                print(f"  - {failure}")
+                print(f"  - {failure}", file=sys.stderr)
         else:
             print(f"\n{name} regression gate passed.")
         print()

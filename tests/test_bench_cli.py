@@ -34,7 +34,7 @@ def test_csv_export(tmp_path, capsys):
 
 
 def test_write_csv_skips_table_only_experiments(tmp_path):
-    written = write_csv(str(tmp_path), ["e6"])  # e6 has no RAW producer
+    written = write_csv(str(tmp_path), ["e6"])  # e6 has no row-dict driver
     assert written == []
 
 

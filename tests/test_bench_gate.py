@@ -129,13 +129,17 @@ def test_e16_update_rewrites_only_the_gate_section(tmp_path):
 
 
 def test_e14_gate_end_to_end(tmp_path, monkeypatch, capsys):
-    """The real E14 run passes against the committed baseline, fails
-    where there is none, and --update writes the committed bytes."""
-    monkeypatch.chdir(REPO_ROOT)
-    assert main(["--gate", "e14"]) == 0
+    """The real E14 run passes against the committed baseline from any
+    working directory, exits 2 where there is none, and --update writes
+    the committed bytes."""
     monkeypatch.chdir(tmp_path)
-    assert main(["--gate", "e14"]) == 1
-    assert "missing baseline BENCH_E14.json" in capsys.readouterr().out
+    assert main(["--gate", "e14"]) == 0
+    out = capsys.readouterr().out
+    assert "cslip-14.4k/clean: bytes_wire " in out and "(baseline " in out
+    assert not (tmp_path / "BENCH_E14.json").exists()
+    monkeypatch.setattr(G, "REPO_ROOT", str(tmp_path))
+    assert main(["--gate", "e14"]) == 2
+    assert "missing baseline" in capsys.readouterr().err
     assert main(["--gate", "--update", "e14"]) == 0
     with open(os.path.join(REPO_ROOT, "BENCH_E14.json"), "rb") as committed:
         assert (tmp_path / "BENCH_E14.json").read_bytes() == committed.read()

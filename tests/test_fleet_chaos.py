@@ -16,7 +16,7 @@ from repro.chaos.plan import FaultPlan, LinkFaultWindow, ServerOutage
 from repro.obs.fleet.sim import FleetScenario, build_fleet
 
 #: The 2.4K CSLIP client whose link cycles through disconnection
-#: (index 3 of the LINK_MIX rotation) — crashed mid-down-period.
+#: (index 3 of the STANDARD_LINKS rotation) — crashed mid-down-period.
 CRASH_INDEX = 3
 CRASH_AT = 150.0
 
