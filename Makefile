@@ -68,8 +68,11 @@ fleet:
 demo:
 	$(PYTHON) -m repro
 
+# Every example end to end; exits non-zero if any of them fails.
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null && echo OK || echo FAILED; done
+	@status=0; for f in examples/*.py; do echo "== $$f"; \
+		if $(PYTHON) $$f > /dev/null; then echo OK; else echo FAILED; status=1; fi; \
+	done; exit $$status
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

@@ -18,10 +18,11 @@ notification center:
   server;
 * :meth:`recover` — after a crash, re-submit every logged QRPC.
 
-Every QRPC is flushed to the stable log before it is handed to the
-scheduler; the flush time is charged to virtual time (it delays the
-submission) and accounted in :attr:`flush_seconds_total` — the exact
-quantity experiment E2 measures.
+Every QRPC takes one path: log, submit, settle.  It is flushed to the
+stable log before the scheduler sees it; the flush time delays the
+submission and is accounted in :attr:`flush_seconds_total` (what
+experiment E2 measures).  Its reply, or a terminal failure, settles it
+and then every request it absorbed at compaction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.conflict import ConflictReport
 from repro.core.interpreter import SafeInterpreter
 from repro.core.naming import URN, make_request_id
 from repro.core.notification import EventType, NotificationCenter
-from repro.core.object_cache import CacheStatus, ObjectCache
+from repro.core.object_cache import CacheEntry, CacheStatus, ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.promise import Promise
 from repro.core.qrpc import Operation, QRPCRequest
@@ -53,6 +54,20 @@ class AccessManagerError(Exception):
     """Client-side toolkit misuse."""
 
 
+#: Operations whose reply only settles a promise: what an accepted
+#: reply resolves it with, and the reject reason when the reply
+#: carries no status.
+_PROMISED: dict[Operation, tuple[Callable[[dict], Any], str]] = {
+    Operation.INVOKE: (lambda reply: reply.get("result"), "error"),
+    Operation.SHIP: (lambda reply: reply.get("result"), "error"),
+    Operation.LIST: (lambda reply: reply.get("urns", []), "error"),
+    Operation.SUBSCRIBE: (lambda reply: True, "error"),
+    Operation.LOCK: (lambda reply: reply, "lock failed"),
+    Operation.UNLOCK: (lambda reply: reply, "lock failed"),
+    Operation.TELEMETRY: (lambda reply: reply, "error"),
+}
+
+
 class AccessManager:
     """Rover toolkit entry point for one client host."""
 
@@ -63,9 +78,6 @@ class AccessManager:
         servers: dict[str, Host],
         cache: Optional[ObjectCache] = None,
         log: Optional[OperationLog] = None,
-        notifications: Optional[NotificationCenter] = None,
-        cost_model: Optional[ExecutionCostModel] = None,
-        step_budget: int = 200_000,
         auth_token: str = "",
         group_commit: Optional[GroupCommitPolicy] = None,
         obs: Optional[Observatory] = None,
@@ -116,8 +128,8 @@ class AccessManager:
         self.servers = dict(servers)
         self.cache = cache if cache is not None else ObjectCache(clock=lambda: sim.now)
         self.log = log if log is not None else OperationLog()
-        self.notifications = notifications or NotificationCenter()
-        self.cost_model = cost_model or ExecutionCostModel()
+        self.notifications = NotificationCenter()
+        self.cost_model = ExecutionCostModel()
         #: Credential presented with every QRPC (see RoverServer.auth_tokens).
         self.auth_token = auth_token
         #: Group commit: None flushes the log on every QRPC (the
@@ -137,7 +149,7 @@ class AccessManager:
         #: queue behind each other (virtual time).
         self._flush_busy_until = 0.0
         self._invalidation_bound = False
-        self.interpreter = SafeInterpreter(step_budget=step_budget)
+        self.interpreter = SafeInterpreter(step_budget=200_000)
         self.sessions = SessionRegistry(self.host.name)
         self._request_counter = 0
         self._promises: dict[str, Promise] = {}
@@ -178,18 +190,9 @@ class AccessManager:
         self.delta_shipping = delta_shipping
         self._engine: Optional[Compactor] = None
         if compactor is not None:
-            # Private engine = the app's rules + the toolkit's own
-            # export-refresh fold.  Building a copy (rather than
-            # mutating the app's compactor) keeps the instance-bound
-            # rule from leaking across crash-recovery incarnations.
-            engine = Compactor()
-            engine.pair_rules = list(compactor.pair_rules)
-            engine.rewrite_rules = list(compactor.rewrite_rules)
-            engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
-            self._engine = engine
-            self.scheduler.add_drain_hook(self.compact_now)
-        self._watched_links: set[str] = set()
-        self._watch_connectivity()
+            self._build_engine()
+        for link in self.host.links:
+            link.on_transition(self._on_link_transition)
 
     # -- sessions -------------------------------------------------------------
 
@@ -274,16 +277,21 @@ class AccessManager:
                 # Warm re-import: tell the server which version we hold
                 # so it can answer with a delta against it.
                 args["have_version"] = held.base_version
-        request = self._new_request(
-            Operation.IMPORT,
-            urn_str,
-            args=args,
-            session=session,
-            priority=priority,
-        )
-        self._imports[urn_str] = {"request": request, "waiters": [(promise, session)]}
-        self._log_and_submit(request, session)
+        self._queue_import(urn_str, args, session, priority, [(promise, session)])
         return promise
+
+    def _queue_import(
+        self,
+        urn_str: str,
+        args: dict,
+        session: Optional[Session],
+        priority: Priority,
+        waiters: list[tuple[Promise, Optional[Session]]],
+    ) -> None:
+        """Log an import QRPC that ``waiters`` share (the outstanding list)."""
+        request = self._new_request(Operation.IMPORT, urn_str, args, session, priority)
+        self._imports[urn_str] = {"request": request, "waiters": waiters}
+        self._log_and_submit(request, session)
 
     def prefetch(self, urns: list[URN | str], session: Optional[Session] = None) -> list[Promise]:
         """Queue background imports to warm the cache before disconnection."""
@@ -366,8 +374,6 @@ class AccessManager:
     def _start_export_round(
         self, urn_str: str, session: Optional[Session], priority: Priority
     ) -> None:
-        from repro.net.message import marshal, unmarshal
-
         entry = self.cache.peek(urn_str)
         state = self._exports[urn_str]
         if entry is None:
@@ -377,21 +383,20 @@ class AccessManager:
             state["inflight"] = False
             return
         request = self._new_request(
-            Operation.EXPORT,
-            urn_str,
-            args={
-                # Snapshot: the export carries exactly the state at
-                # round start, not whatever the app mutates later.
-                "data": unmarshal(marshal(entry.rdo.data)),
-                "base_version": entry.base_version,
-            },
-            session=session,
-            priority=priority,
+            Operation.EXPORT, urn_str, self._export_args(entry), session, priority
         )
         state["inflight"] = True
         state["session"] = session
         state["priority"] = priority
         self._log_and_submit(request, session)
+
+    @staticmethod
+    def _export_args(entry: CacheEntry) -> dict:
+        """Snapshot: the export carries exactly the state of this moment."""
+        return {
+            "data": unmarshal(marshal(entry.rdo.data)),
+            "base_version": entry.base_version,
+        }
 
     # -- remote execution --------------------------------------------------------
 
@@ -405,16 +410,14 @@ class AccessManager:
     ) -> Promise:
         """Queue a method invocation against the server's authoritative copy."""
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
+        promise = self._queue(
             Operation.INVOKE,
             urn_str,
-            args={"method": method, "args": args or []},
-            session=session,
-            priority=priority,
+            {"method": method, "args": args or []},
+            session,
+            priority,
+            f"invoke {urn_str}.{method}",
         )
-        promise = Promise(label=f"invoke {urn_str}.{method}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
         self.remote_invokes += 1
         return promise
 
@@ -438,8 +441,7 @@ class AccessManager:
         the escape hatch (the server then re-checks unless it too was
         built with verification off).
         """
-        if authority not in self.servers:
-            raise AccessManagerError(f"unknown authority {authority!r}")
+        urn = self._service_urn(authority, "shipped")
         if verify:
             from repro.core.rdo import RDOVerificationError
             from repro.core.server import _ship_code_errors
@@ -447,17 +449,14 @@ class AccessManager:
             diagnostics = _ship_code_errors(code)
             if diagnostics:
                 raise RDOVerificationError(f"ship to {authority}", diagnostics)
-        request = self._new_request(
+        return self._queue(
             Operation.SHIP,
-            f"urn:rover:{authority}/__shipped__",
-            args={"code": code, "method": method, "args": args or []},
-            session=session,
-            priority=priority,
+            urn,
+            {"code": code, "method": method, "args": args or []},
+            session,
+            priority,
+            f"ship to {authority}",
         )
-        promise = Promise(label=f"ship to {authority}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
 
     # -- fleet telemetry ----------------------------------------------------------
 
@@ -476,19 +475,14 @@ class AccessManager:
         on the per-client telemetry URN fold into one through the
         compaction engine's ``TelemetryFold`` rule.
         """
-        if authority not in self.servers:
-            raise AccessManagerError(f"unknown authority {authority!r}")
-        request = self._new_request(
+        return self._queue(
             Operation.TELEMETRY,
-            f"urn:rover:{authority}/__telemetry__",
-            args=dict(report),
-            session=None,
-            priority=priority,
+            self._service_urn(authority, "telemetry"),
+            dict(report),
+            None,
+            priority,
+            f"telemetry seq {report.get('q')}",
         )
-        promise = Promise(label=f"telemetry seq {report.get('q')}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def add_compaction_rule(self, rule: Any) -> None:
         """Register an extra pair rule at runtime (e.g. the telemetry fold).
@@ -502,23 +496,21 @@ class AccessManager:
             self.compactor = Compactor()
         self.compactor.add_pair_rule(rule)
         if self._engine is None:
-            engine = Compactor()
-            engine.pair_rules = list(self.compactor.pair_rules)
-            engine.rewrite_rules = list(self.compactor.rewrite_rules)
-            engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
-            self._engine = engine
-            self.scheduler.add_drain_hook(self.compact_now)
+            self._build_engine()
         else:
             self._engine.add_pair_rule(rule)
 
-    def _apply_telemetry(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(reply)
+    def _build_engine(self) -> None:
+        # Private engine = the app's rules + the toolkit's own
+        # export-refresh fold.  Building a copy (rather than
+        # mutating the app's compactor) keeps the instance-bound
+        # rule from leaking across crash-recovery incarnations.
+        engine = Compactor()
+        engine.pair_rules = list(self.compactor.pair_rules)
+        engine.rewrite_rules = list(self.compactor.rewrite_rules)
+        engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
+        self._engine = engine
+        self.scheduler.add_drain_hook(self.compact_now)
 
     # -- load: import + immediate invocation ------------------------------------
 
@@ -569,17 +561,9 @@ class AccessManager:
         only this session's exports commit at the server.
         """
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
-            Operation.LOCK,
-            urn_str,
-            args={"lease_s": lease_s},
-            session=session,
-            priority=priority,
+        return self._queue(
+            Operation.LOCK, urn_str, {"lease_s": lease_s}, session, priority, f"lock {urn_str}"
         )
-        promise = Promise(label=f"lock {urn_str}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
 
     def release_lock(
         self,
@@ -589,20 +573,9 @@ class AccessManager:
     ) -> Promise:
         """Queue the lock release (check-in)."""
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
-            Operation.UNLOCK, urn_str, args={}, session=session, priority=priority
+        return self._queue(
+            Operation.UNLOCK, urn_str, {}, session, priority, f"unlock {urn_str}"
         )
-        promise = Promise(label=f"unlock {urn_str}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
-
-    def _apply_lock(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") == "ok":
-            promise.resolve(reply)
-        else:
-            promise.reject(reply.get("status", "lock failed"))
 
     # -- directory + invalidation callbacks -------------------------------------
 
@@ -617,19 +590,14 @@ class AccessManager:
         Used by hoard walking (:mod:`repro.core.hoard`) to discover
         the collection of objects to prefetch before disconnection.
         """
-        if authority not in self.servers:
-            raise AccessManagerError(f"unknown authority {authority!r}")
-        request = self._new_request(
+        return self._queue(
             Operation.LIST,
-            f"urn:rover:{authority}/__list__",
-            args={"prefix": prefix or f"urn:rover:{authority}/"},
-            session=None,
-            priority=priority,
+            self._service_urn(authority, "list"),
+            {"prefix": prefix or f"urn:rover:{authority}/"},
+            None,
+            priority,
+            f"list {authority}/{prefix}",
         )
-        promise = Promise(label=f"list {authority}/{prefix}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def subscribe_invalidations(self, authority: str, prefix: str) -> Promise:
         """Register for server callbacks when objects under prefix change.
@@ -642,26 +610,18 @@ class AccessManager:
         version is dropped (tentative copies are kept — local updates
         still need exporting) and OBJECT_INVALIDATED is published.
         """
-        if authority not in self.servers:
-            raise AccessManagerError(f"unknown authority {authority!r}")
+        urn = self._service_urn(authority, "subscribe")
         self._ensure_invalidation_listener()
-        request = self._new_request(
-            Operation.SUBSCRIBE,
-            f"urn:rover:{authority}/__subscribe__",
-            args={"prefix": prefix},
-            session=None,
-            priority=Priority.DEFAULT,
+        return self._queue(
+            Operation.SUBSCRIBE, urn, {"prefix": prefix}, None, Priority.DEFAULT,
+            f"subscribe {prefix}",
         )
-        promise = Promise(label=f"subscribe {prefix}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def _ensure_invalidation_listener(self) -> None:
         from repro.core.server import INVALIDATION_PORT
         from repro.net.transport import Transport
 
-        if getattr(self, "_invalidation_bound", False):
+        if self._invalidation_bound:
             return
         self._invalidation_bound = True
 
@@ -744,6 +704,32 @@ class AccessManager:
             created_at=self.sim.now,
         )
 
+    def _queue(
+        self,
+        operation: Operation,
+        urn: str,
+        args: dict,
+        session: Optional[Session],
+        priority: Priority,
+        label: str,
+    ) -> Promise:
+        """Log a QRPC; return the promise its reply settles.
+
+        The promise is registered first: queue-time compaction may
+        cancel the request and deliver a synthetic reply a tick later.
+        """
+        request = self._new_request(operation, urn, args, session, priority)
+        promise = Promise(label=label)
+        self._promises[request.request_id] = promise
+        self._log_and_submit(request, session)
+        return promise
+
+    def _service_urn(self, authority: str, service: str) -> str:
+        """The URN of a per-authority service object (shipping, listing, ...)."""
+        if authority not in self.servers:
+            raise AccessManagerError(f"unknown authority {authority!r}")
+        return f"urn:rover:{authority}/__{service}__"
+
     def _server_for(self, urn: str) -> Host:
         authority = URN.parse(urn).authority
         server = self.servers.get(authority)
@@ -773,31 +759,34 @@ class AccessManager:
             operation=str(request.operation),
             urn=request.urn,
         )
-        if self.group_commit is not None:
+        if self.group_commit is None:
+            self._flushed(self.log.append(request), [(request, session)])
+        else:
             self.log.append(request, flush=False)
             self._unflushed.append((request, session))
             self._arm_adaptive_flush()
-            self.compact_now()
-            return
-        flush_time = self.log.append(request)
-        self.flush_seconds_total += flush_time
-        # The flush occupies the critical path, and the disk is serial:
-        # hand the request to the scheduler only once its log record is
-        # durable, queueing behind any flush already in progress.
-        durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
-        self._flush_busy_until = durable_at
-        self._trace_log_append(request, durable_at)
-        self.sim.schedule(durable_at - self.sim.now, self._submit, request, session)
         self.compact_now()
 
-    def _trace_log_append(self, request: QRPCRequest, durable_at: float) -> None:
-        if self.tracer.enabled and request.trace_id:
-            self.tracer.record(
-                "log.append",
-                (request.trace_id, request.span_id),
-                start=self.sim.now,
-                end=durable_at,
-            )
+    def _flushed(
+        self, flush_time: float, batch: list[tuple[QRPCRequest, Optional[Session]]]
+    ) -> None:
+        """Charge one log flush; submit ``batch`` once it is durable.
+
+        The disk is serial: a flush queues behind any flush in progress,
+        and the requests reach the scheduler only after it.
+        """
+        self.flush_seconds_total += flush_time
+        durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
+        self._flush_busy_until = durable_at
+        for request, session in batch:
+            if self.tracer.enabled and request.trace_id:
+                self.tracer.record(
+                    "log.append",
+                    (request.trace_id, request.span_id),
+                    start=self.sim.now,
+                    end=durable_at,
+                )
+            self.sim.schedule(durable_at - self.sim.now, self._submit, request, session)
 
     def _arm_adaptive_flush(self) -> None:
         """Arm or extend the adaptive group-commit window.
@@ -832,14 +821,8 @@ class AccessManager:
         if self._crashed:
             return
         self._group_flush_timer = None
-        flush_time = self.log.flush()
-        self.flush_seconds_total += flush_time
-        durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
-        self._flush_busy_until = durable_at
         batch, self._unflushed = self._unflushed, []
-        for request, session in batch:
-            self._trace_log_append(request, durable_at)
-            self.sim.schedule(durable_at - self.sim.now, self._submit, request, session)
+        self._flushed(self.log.flush(), batch)
 
     def _wire_body(self, request: QRPCRequest) -> Premarshalled:
         """Build the on-wire body for a request, marshalled exactly once.
@@ -971,11 +954,7 @@ class AccessManager:
                 # wave — during a no-primary window a flat 0.05s bounce
                 # between fencing backups would burn the whole budget
                 # in under a second.
-                request.failover_rounds += 1
-                if request.failover_rounds > self.max_failover_rounds:
-                    self._on_failed(
-                        request, "replica group has no reachable primary"
-                    )
+                if self._failover_exhausted(request):
                     return True
                 # Probe the next member — but only if the shared pointer
                 # still targets the member that fenced *us* (concurrent
@@ -988,11 +967,7 @@ class AccessManager:
             # Stale epoch: a deposed primary answered.  If we are still
             # pointed at it, rotating is the only way off of it.
             if reply.get("ha_member") == replica_set.current_host.name:
-                request.failover_rounds += 1
-                if request.failover_rounds > self.max_failover_rounds:
-                    self._on_failed(
-                        request, "replica group has no reachable primary"
-                    )
+                if self._failover_exhausted(request):
                     return True
                 replica_set.rotate()
                 self._m_qrpc_failovers.labels(host=self.host.name).inc()
@@ -1001,6 +976,14 @@ class AccessManager:
         self._messages.pop(request.request_id, None)
         self.sim.schedule(0.05, self._submit, request, session)
         return True
+
+    def _failover_exhausted(self, request: QRPCRequest) -> bool:
+        """Spend one failover round; past the budget, fail terminally."""
+        request.failover_rounds += 1
+        if request.failover_rounds > self.max_failover_rounds:
+            self._on_failed(request, "replica group has no reachable primary")
+            return True
+        return False
 
     def _on_reply(self, request: QRPCRequest, session: Optional[Session], reply: Any) -> None:
         if self.log.get(request.request_id) is None:
@@ -1020,59 +1003,38 @@ class AccessManager:
         self.flush_seconds_total += flush_time
         self._messages.pop(request.request_id, None)
         self._no_delta.discard(request.request_id)
-        self._finish_trace(request, status="ok")
         self._m_qrpc_latency.labels(
             host=self.host.name, op=str(request.operation)
         ).observe(self.sim.now - request.created_at)
+        self._settle(request, session, reply if isinstance(reply, dict) else {})
+
+    def _settle(
+        self, request: QRPCRequest, session: Optional[Session], reply: dict
+    ) -> None:
+        """Deliver an applied (or synthetic) reply to ``request``'s observers.
+
+        Then to those of every request it absorbed at compaction, whose
+        effect is contained in the survivor's (recursively).
+        """
+        self._finish_trace(request, status="ok")
         self.notifications.publish(
             EventType.RESPONSE_ARRIVED,
             self.sim.now,
             request_id=request.request_id,
             operation=str(request.operation),
-            status=reply.get("status") if isinstance(reply, dict) else None,
+            status=reply.get("status"),
         )
-        self._dispatch_reply(request, session, reply if isinstance(reply, dict) else {})
-        self._resolve_absorbed(request, session, reply if isinstance(reply, dict) else {})
-
-    def _dispatch_reply(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
-        handler = {
-            Operation.IMPORT: self._apply_import,
-            Operation.EXPORT: self._apply_export,
-            Operation.INVOKE: self._apply_invoke,
-            Operation.SHIP: self._apply_ship,
-            Operation.LIST: self._apply_list,
-            Operation.SUBSCRIBE: self._apply_subscribe,
-            Operation.LOCK: self._apply_lock,
-            Operation.UNLOCK: self._apply_lock,
-            Operation.TELEMETRY: self._apply_telemetry,
-        }[request.operation]
-        handler(request, session, reply)
-
-    def _resolve_absorbed(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
-        """Resolve observers of requests this one absorbed at compaction.
-
-        The absorbed operation's effect is contained in the survivor's,
-        so its observers see the survivor's outcome.  Recurses: the
-        absorbed request may itself have absorbed earlier ones.
-        """
+        if request.operation is Operation.IMPORT:
+            self._apply_import(request, session, reply)
+        elif request.operation is Operation.EXPORT:
+            self._apply_export(request, session, reply)
+        else:
+            self._apply_promised(request, session, reply)
         for absorbed in self._absorbed.pop(request.request_id, []):
-            self._finish_trace(absorbed, status="ok")
-            self.notifications.publish(
-                EventType.RESPONSE_ARRIVED,
-                self.sim.now,
-                request_id=absorbed.request_id,
-                operation=str(absorbed.operation),
-                status=reply.get("status"),
-            )
             # The absorbed request's session object died with its
             # submit closure; session bookkeeping falls to the
             # survivor's own reply.
-            self._dispatch_reply(absorbed, None, reply)
-            self._resolve_absorbed(absorbed, None, reply)
+            self._settle(absorbed, None, reply)
 
     def _finish_trace(self, request: QRPCRequest, status: str) -> None:
         root = self._root_spans.pop(request.request_id, None)
@@ -1093,22 +1055,33 @@ class AccessManager:
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
         if self._try_failover(request):
             return
-        self._finish_trace(request, status="failed")
         self._m_qrpc_failed.labels(
             host=self.host.name, op=str(request.operation)
         ).inc()
         self.log.mark_failed(request.request_id)
         self._messages.pop(request.request_id, None)
         self._no_delta.discard(request.request_id)
+        self._fail(request, reason)
+
+    def _fail(self, request: QRPCRequest, reason: str) -> None:
+        """Reject ``request``'s observers, then those of every request it
+        absorbed: the survivor failed terminally, so did the absorbed."""
+        self._finish_trace(request, status="failed")
         self.notifications.publish(
             EventType.REQUEST_FAILED,
             self.sim.now,
             request_id=request.request_id,
             reason=reason,
         )
-        self._reject_observers(request, reason)
+        if request.operation is Operation.EXPORT:
+            self._finish_export_round(request.urn, {}, failed=reason)
+        elif request.operation is Operation.IMPORT:
+            for promise, __ in self._take_import_waiters(request):
+                promise.reject(reason)
+        else:
+            self._promises.pop(request.request_id, Promise(label="orphan")).reject(reason)
         for absorbed in self._absorbed.pop(request.request_id, []):
-            self._fail_absorbed(absorbed, reason)
+            self._fail(absorbed, reason)
 
     def _try_failover(self, request: QRPCRequest) -> bool:
         """Retarget a terminally-failed QRPC at the next group member.
@@ -1196,34 +1169,6 @@ class AccessManager:
                 continue
             self._submit(request, None)
 
-    def _fail_absorbed(self, request: QRPCRequest, reason: str) -> None:
-        """The surviving request failed terminally: so did the absorbed."""
-        self._finish_trace(request, status="failed")
-        self.notifications.publish(
-            EventType.REQUEST_FAILED,
-            self.sim.now,
-            request_id=request.request_id,
-            reason=reason,
-        )
-        self._reject_observers(request, reason)
-        for absorbed in self._absorbed.pop(request.request_id, []):
-            self._fail_absorbed(absorbed, reason)
-
-    def _reject_observers(self, request: QRPCRequest, reason: str) -> None:
-        if request.operation is Operation.EXPORT:
-            self._finish_export_round(request.urn, {}, failed=reason)
-            return
-        if request.operation is Operation.IMPORT:
-            for promise, __ in self._take_import_waiters(request):
-                promise.reject(reason)
-            return
-        promise = self._promises.pop(request.request_id, None)
-        if promise is not None:
-            promise.reject(reason)
-
-    def _take_promise(self, request: QRPCRequest) -> Promise:
-        return self._promises.pop(request.request_id, Promise(label="orphan"))
-
     def _take_import_waiters(self, request: QRPCRequest) -> list[tuple[Promise, Optional[Session]]]:
         pending = self._imports.get(request.urn)
         if pending is None or pending["request"] is not request:
@@ -1239,11 +1184,7 @@ class AccessManager:
                 # Our copy of the base is gone (evicted/replaced since
                 # the request was queued): re-import full on behalf of
                 # every waiter.
-                retry = self._new_request(
-                    Operation.IMPORT, request.urn, {}, session, request.priority
-                )
-                self._imports[request.urn] = {"request": retry, "waiters": waiters}
-                self._log_and_submit(retry, session)
+                self._queue_import(request.urn, {}, session, request.priority, waiters)
                 return
             reply = rebuilt
         if reply.get("status") != "ok":
@@ -1255,11 +1196,7 @@ class AccessManager:
         if session is not None and not session.acceptable(urn_str, rdo.version):
             # Session guarantee violation (stale response): re-import
             # on behalf of every waiter.
-            retry = self._new_request(
-                Operation.IMPORT, urn_str, {}, session, request.priority
-            )
-            self._imports[urn_str] = {"request": retry, "waiters": waiters}
-            self._log_and_submit(retry, session)
+            self._queue_import(urn_str, {}, session, request.priority, waiters)
             return
         existing = self.cache.peek(urn_str)
         if existing is not None and existing.tentative:
@@ -1392,35 +1329,22 @@ class AccessManager:
                 state.get("priority", Priority.DEFAULT),
             )
 
-    def _apply_invoke(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
+    def _apply_promised(
+        self, request: QRPCRequest, session: Optional[Session], reply: dict
+    ) -> None:
+        """Settle the promise of an operation that holds no cached state."""
+        resolve_with, default_reason = _PROMISED[request.operation]
+        promise = self._promises.pop(request.request_id, Promise(label="orphan"))
         if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
+            promise.reject(reply.get("status", default_reason))
             return
-        if "version" in reply and session is not None:
+        if (
+            request.operation is Operation.INVOKE
+            and "version" in reply
+            and session is not None
+        ):
             session.record_write(request.urn, int(reply["version"]))
-        promise.resolve(reply.get("result"))
-
-    def _apply_ship(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(reply.get("result"))
-
-    def _apply_list(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(reply.get("urns", []))
-
-    def _apply_subscribe(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(True)
+        promise.resolve(resolve_with(reply))
 
     # -- log compaction --------------------------------------------------------
 
@@ -1463,9 +1387,7 @@ class AccessManager:
             message = self._messages.get(request_id)
             if message is not None and message.state == "queued":
                 message.body = self._wire_body(request)
-        flush_time = self.log.compact(drop_ids, rewrites)
-        self.flush_seconds_total += flush_time
-        self._flush_busy_until = max(self.sim.now, self._flush_busy_until) + flush_time
+        self._flushed(self.log.compact(drop_ids, rewrites), [])
         return len(drop_ids)
 
     def _compactable(self, request: QRPCRequest) -> bool:
@@ -1489,16 +1411,7 @@ class AccessManager:
         """Resolve a cancelled-out pair member with its synthetic reply."""
         if self._crashed:
             return
-        self._finish_trace(request, status="ok")
-        self.notifications.publish(
-            EventType.RESPONSE_ARRIVED,
-            self.sim.now,
-            request_id=request.request_id,
-            operation=str(request.operation),
-            status=reply.get("status"),
-        )
-        self._dispatch_reply(request, None, reply)
-        self._resolve_absorbed(request, None, reply)
+        self._settle(request, None, reply)
 
     def _refresh_export(self, request: QRPCRequest) -> Optional[dict]:
         """Rewrite rule: fold a dirty follow-up into its queued round.
@@ -1525,24 +1438,10 @@ class AccessManager:
         self.log.note_compacted(len(state["queued"]))
         state["current"].extend(state["queued"])
         state["queued"] = []
-        new_args = {
-            "data": unmarshal(marshal(entry.rdo.data)),
-            "base_version": entry.base_version,
-        }
+        new_args = self._export_args(entry)
         if marshal(new_args) == marshal(request.args):
             return None  # mutated back to the snapshot; nothing to rewrite
         return new_args
-
-    def _watch_connectivity(self) -> None:
-        for link in self.host.links:
-            if link.name in self._watched_links:
-                continue
-            self._watched_links.add(link.name)
-            link.on_transition(self._on_link_transition)
-
-    def watch_new_links(self) -> None:
-        """Re-subscribe after links were attached post-construction."""
-        self._watch_connectivity()
 
     def _on_link_transition(self, link: Any, is_up: bool) -> None:
         self.notifications.publish(

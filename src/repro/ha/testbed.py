@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.notification import NotificationCenter
-from repro.core.object_cache import ObjectCache
-from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.ha.group import ReplicationGroup
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
@@ -31,8 +27,8 @@ from repro.net.simnet import Host, Network
 from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
 from repro.sim import Simulator
-from repro.storage.stable_log import FlushModel, StableLog
-from repro.testbed import ClientStack
+from repro.storage.stable_log import FlushModel
+from repro.testbed import ClientStack, build_client_access
 
 
 @dataclass
@@ -156,22 +152,13 @@ def build_ha_testbed(
             obs=obs,
             rpc_timeout=rpc_timeout_s,
         )
-        access = AccessManager(
+        access = build_client_access(
             sim,
             scheduler,
-            servers={authority: group.make_replica_set()},
-            cache=ObjectCache(
-                clock=lambda: sim.now, obs=obs, owner=host.name
-            ),
-            log=OperationLog(
-                StableLog(flush_model=flush_model, obs=obs, owner=host.name),
-                obs=obs,
-                owner=host.name,
-            ),
-            notifications=NotificationCenter(),
-            obs=obs,
+            {authority: group.make_replica_set()},
+            obs,
+            flush_model=flush_model,
         )
-        access.watch_new_links()
         assert first_link is not None
         clients.append(ClientStack(host, first_link, transport, scheduler, access))
 

@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.notification import NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
@@ -93,7 +92,6 @@ class LiveClient:
             # Real wall-clock flushes would slow the demo; the log is
             # still real (recoverable) — only the *cost model* is free.
             log=OperationLog(StableLog(flush_model=FlushModel.free())),
-            notifications=NotificationCenter(),
             auth_token=auth_token,
         )
 

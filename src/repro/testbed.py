@@ -9,11 +9,10 @@ with the full Rover stack wired on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.notification import NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
@@ -25,7 +24,13 @@ from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
 from repro.perf.compact import Compactor
 from repro.sim import Simulator
-from repro.storage.stable_log import FlushModel, GroupCommitPolicy, StableLog
+from repro.storage.stable_log import (
+    FileLogBackend,
+    FlushModel,
+    GroupCommitPolicy,
+    MemoryLogBackend,
+    StableLog,
+)
 
 
 def default_compactor() -> Compactor:
@@ -39,6 +44,32 @@ def default_compactor() -> Compactor:
     register_calendar_compaction(compactor)
     register_webproxy_compaction(compactor)
     return compactor
+
+
+def build_client_access(
+    sim: Simulator,
+    scheduler: NetworkScheduler,
+    servers: dict,
+    obs: Observatory,
+    cache_capacity: int = 8 * 1024 * 1024,
+    flush_model: Optional[FlushModel] = None,
+    backend: Optional[MemoryLogBackend | FileLogBackend] = None,
+    **options: Any,
+) -> AccessManager:
+    """Wire one client's object cache, stable log, operation log and
+    access manager, in that order, so every metrics registry fills the
+    same way.  Metric series carry the scheduler host's name as owner;
+    ``options`` go to :class:`AccessManager`.
+    """
+    owner = scheduler.host.name
+    cache = ObjectCache(
+        capacity_bytes=cache_capacity, clock=lambda: sim.now, obs=obs, owner=owner
+    )
+    stable = StableLog(backend, flush_model=flush_model, obs=obs, owner=owner)
+    log = OperationLog(stable, obs=obs, owner=owner)
+    return AccessManager(
+        sim, scheduler, servers=servers, cache=cache, log=log, obs=obs, **options
+    )
 
 
 @dataclass
@@ -165,28 +196,17 @@ def build_testbed(
         MailRpcEndpoint(sim, server_transport, server_mailbox)
         scheduler.add_route(MailRoute(sim, client_mailbox))
 
-    access = AccessManager(
+    access = build_client_access(
         sim,
         scheduler,
-        servers={authority: server_host},
-        cache=ObjectCache(
-            capacity_bytes=cache_capacity,
-            clock=lambda: sim.now,
-            obs=obs,
-            owner=client_host.name,
-        ),
-        log=OperationLog(
-            StableLog(flush_model=flush_model, obs=obs, owner=client_host.name),
-            obs=obs,
-            owner=client_host.name,
-        ),
-        notifications=NotificationCenter(),
-        obs=obs,
+        {authority: server_host},
+        obs,
+        cache_capacity=cache_capacity,
+        flush_model=flush_model,
         compactor=default_compactor() if compaction else None,
         delta_shipping=delta_shipping,
         group_commit=group_commit,
     )
-    access.watch_new_links()
 
     return Testbed(
         sim=sim,
@@ -309,25 +329,16 @@ def build_multi_client_testbed(
         scheduler = NetworkScheduler(
             sim, transport, obs=client_obs, rpc_timeout=rpc_timeout_s
         )
-        access = AccessManager(
+        access = build_client_access(
             sim,
             scheduler,
-            servers={authority: server_host},
-            cache=ObjectCache(
-                clock=lambda: sim.now, obs=client_obs, owner=host.name
-            ),
-            log=OperationLog(
-                StableLog(flush_model=flush_model, obs=client_obs, owner=host.name),
-                obs=client_obs,
-                owner=host.name,
-            ),
-            notifications=NotificationCenter(),
-            obs=client_obs,
+            {authority: server_host},
+            client_obs,
+            flush_model=flush_model,
             compactor=default_compactor() if compaction else None,
             delta_shipping=delta_shipping,
             group_commit=group_commit,
         )
-        access.watch_new_links()
         clients.append(ClientStack(
             host, link, transport, scheduler, access,
             obs=client_obs if per_client_obs else None,

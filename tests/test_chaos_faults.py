@@ -270,6 +270,36 @@ def test_request_ids_qualified_by_incarnation():
     assert make_request_id("client", 3, 1) != make_request_id("client", 3, 2)
 
 
+def test_client_crash_recovery_keeps_configuration():
+    from repro.obs.fleet.report import TelemetryFold
+    from repro.storage.stable_log import FlushModel, GroupCommitPolicy
+
+    bed = build_testbed(
+        cache_capacity=123_456,
+        flush_model=FlushModel(latency_s=0.02, bytes_per_s=500_000.0),
+        compaction=True,
+        delta_shipping=True,
+        group_commit=GroupCommitPolicy(min_window_s=0.01, max_window_s=0.1),
+    )
+    dead = bed.access
+    dead.auth_token = "secret"
+    dead.add_compaction_rule(TelemetryFold())
+    rules = list(dead.compactor.pair_rules)
+
+    bed.crash_and_recover_client()
+    reborn = bed.access
+    assert reborn is not dead
+    assert reborn.incarnation == dead.incarnation + 1
+    assert reborn.auth_token == "secret"
+    assert reborn.group_commit == dead.group_commit
+    assert reborn.compactor is dead.compactor
+    assert reborn.compactor.pair_rules == rules
+    assert reborn.delta_shipping is True
+    assert reborn.cache.capacity_bytes == 123_456
+    assert reborn.log.stable.flush_model == dead.log.stable.flush_model
+    assert reborn.log.stable.backend is dead.log.stable.backend
+
+
 def test_client_crash_recovery_replays_file_backed_log(tmp_path):
     # Connected for the first 5 s (import the folder), disconnected
     # until t=30 (the append queues in the stable log), crash at t=12.

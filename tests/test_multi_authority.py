@@ -9,7 +9,6 @@ links.
 import pytest
 
 from repro.core.access_manager import AccessManager
-from repro.core.notification import NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
@@ -40,9 +39,7 @@ def make_two_authority_world():
         servers={"mailhost": mail_host, "calhost": cal_host},
         cache=ObjectCache(clock=lambda: sim.now),
         log=OperationLog(),
-        notifications=NotificationCenter(),
     )
-    access.watch_new_links()
     return sim, access, mail_server, cal_server
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.apps.calendar import CalendarReplica, install_calendar
 from repro.apps.mail import MailServerApp, RoverMailReader
 from repro.core.access_manager import AccessManager
-from repro.core.notification import NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.net.link import ETHERNET_10M, WAVELAN_2M, IntervalTrace
@@ -102,7 +101,6 @@ class TestFileBackedRecovery:
             servers={"server": bed.server_host},
             cache=ObjectCache(clock=lambda: bed.sim.now),
             log=OperationLog(StableLog(FileLogBackend(log_path))),
-            notifications=NotificationCenter(),
         )
         assert reborn.pending_count() == 1
         reborn.recover()
