@@ -152,10 +152,12 @@ class ChaosController:
     def schedule(self, plan: FaultPlan, bed: Any) -> list[FaultyLink]:
         """Arm a whole :class:`FaultPlan` against a testbed.
 
-        ``bed`` is a :class:`repro.testbed.Testbed` (single client) or
-        :class:`~repro.testbed.MultiClientTestbed`; resolution is by
-        duck typing.  Returns the created link injectors so callers can
-        read their ``injected`` counters post-run.
+        ``bed`` is any testbed: client crashes act on
+        ``bed.clients[crash.client]`` (a :class:`repro.testbed.Testbed`
+        has one client, index 0), server outages on ``bed.server``, and
+        primary kills need a replicated bed's ``group``.  Returns the
+        created link injectors so callers can read their ``injected``
+        counters post-run.
         """
         injectors: list[FaultyLink] = []
         for index, window in enumerate(plan.link_windows):
@@ -188,17 +190,11 @@ class ChaosController:
                 raise ChaosError("primary_kills needs a replicated testbed")
             self.schedule_primary_kill(group, kill.at, kill.down_for)
         for crash in plan.client_crashes:
+            if not 0 <= crash.client < len(bed.clients):
+                raise ChaosError(f"testbed has no client {crash.client}")
             self.schedule_client_crash(
                 crash.at,
-                self._client_recovery(bed, crash.client),
+                bed.clients[crash.client].crash_and_recover,
                 label=f"client{crash.client}",
             )
         return injectors
-
-    @staticmethod
-    def _client_recovery(bed: Any, index: int) -> Callable[[], list[str]]:
-        if hasattr(bed, "clients"):
-            return bed.clients[index].crash_and_recover
-        if index != 0:
-            raise ChaosError(f"single-client testbed has no client {index}")
-        return bed.crash_and_recover_client

@@ -71,44 +71,35 @@ class RoverServer:
         transport: Transport,
         authority: str,
         resolvers: Optional[ResolverRegistry] = None,
-        cost_model: Optional[ExecutionCostModel] = None,
         history_limit: int = 32,
-        step_budget: int = 200_000,
-        auth_tokens: Optional[set[str]] = None,
-        obs: Optional[Observatory] = None,
-        verify_rdos: bool = True,
         applied_cache_cap: int = 1024,
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: Observability: defaults to the transport's observatory so a
-        #: hand-wired server shares its host's registry/tracer.  (Live
-        #: transports carry no observatory; fall back to a private one.)
-        if obs is None:
-            obs = getattr(transport, "obs", None) or Observatory()
-        self.obs = obs
+        #: Observability: the transport's observatory, so the server
+        #: shares its host's registry/tracer.  (Live transports carry no
+        #: observatory; fall back to a private one.)
+        self.obs = getattr(transport, "obs", None) or Observatory()
         self.authority = authority
         self.store = KVStore()
         self.resolvers = resolvers or ResolverRegistry()
         # Servers are workstations: markedly faster than the mobile
         # client (the paper's DEC vs. ThinkPad split).
-        self.cost_model = cost_model or ExecutionCostModel(
-            base_s=0.0004, per_step_s=0.0001
-        )
-        self.interpreter = SafeInterpreter(step_budget=step_budget)
+        self.cost_model = ExecutionCostModel(base_s=0.0004, per_step_s=0.0001)
+        self.interpreter = SafeInterpreter(step_budget=200_000)
         #: Accepted authentication tokens; ``None`` leaves the server
         #: open.  The paper's server is "a secure setuid application
         #: that authenticates requests from client applications" — we
         #: model the authentication decision, not the cryptography.
-        self.auth_tokens = auth_tokens
+        self.auth_tokens: Optional[set[str]] = None
         self.auth_rejections = 0
         #: Static verification at the publish/ship boundary: a bad RDO
         #: is rejected *here*, with precise diagnostics, instead of
         #: failing on a client mid-invocation after crossing a slow
-        #: link.  ``verify_rdos=False`` is the escape hatch for
+        #: link.  ``verify_rdos = False`` is the escape hatch for
         #: deliberately unverifiable code (it still faces the runtime
         #: sandbox, the last line of defense).
-        self.verify_rdos = verify_rdos
+        self.verify_rdos = True
         self.rdos_rejected = 0
         self.history_limit = history_limit
         self._history: dict[str, list[tuple[int, Any]]] = {}

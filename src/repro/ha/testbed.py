@@ -22,13 +22,12 @@ from repro.core.conflict import ResolverRegistry
 from repro.core.server import RoverServer
 from repro.ha.group import ReplicationGroup
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
-from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Host, Network
 from repro.net.transport import Transport
-from repro.obs import Observatory, active_capture
+from repro.obs import Observatory
 from repro.sim import Simulator
 from repro.storage.stable_log import FlushModel
-from repro.testbed import ClientStack, build_client_access
+from repro.testbed import ClientStack, build_client_stack, build_world
 
 
 @dataclass
@@ -106,13 +105,7 @@ def build_ha_testbed(
     conflict resolution is identical on whichever member ends up
     applying an export.
     """
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
-    obs.tracer.scope_attrs["link"] = link_spec.name
-    sim = Simulator()
-    network = Network(sim, seed=seed)
+    obs, sim, network = build_world(obs, trace, link_spec, seed)
 
     members: list[tuple[RoverServer, Transport]] = []
     member_hosts: list[Host] = []
@@ -137,30 +130,18 @@ def build_ha_testbed(
 
     clients: list[ClientStack] = []
     for index in range(n_clients):
-        host = network.host(f"client{index}")
         policy = policies[index] if policies is not None else None
-        first_link = None
-        for member_host in member_hosts:
-            link = network.connect(host, member_host, link_spec, policy)
-            if first_link is None:
-                first_link = link
-        transport = Transport(sim, host, obs=obs)
-        scheduler = NetworkScheduler(
-            sim,
-            transport,
-            max_attempts=max_attempts,
-            obs=obs,
-            rpc_timeout=rpc_timeout_s,
-        )
-        access = build_client_access(
-            sim,
-            scheduler,
+        clients.append(build_client_stack(
+            network,
+            f"client{index}",
+            [(host, link_spec, policy) for host in member_hosts],
             {authority: group.make_replica_set()},
             obs,
+            scheduler_options=dict(
+                max_attempts=max_attempts, rpc_timeout=rpc_timeout_s
+            ),
             flush_model=flush_model,
-        )
-        assert first_link is not None
-        clients.append(ClientStack(host, first_link, transport, scheduler, access))
+        ))
 
     return HATestbed(
         sim=sim,

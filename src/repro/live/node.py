@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.object_cache import ObjectCache
-from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress, LiveTransport
 from repro.net.scheduler import NetworkScheduler
-from repro.storage.stable_log import FlushModel, StableLog
+from repro.storage.stable_log import FlushModel
+from repro.testbed import build_client_access
 
 
 class LiveServer:
@@ -84,14 +82,14 @@ class LiveClient:
             max_backoff=10.0,
             rpc_timeout=call_timeout,
         )
-        self.access = AccessManager(
+        self.access = build_client_access(
             self.clock,
             self.scheduler,
-            servers=dict(servers),
-            cache=ObjectCache(clock=lambda: self.clock.now),
+            dict(servers),
+            self.scheduler.obs,
             # Real wall-clock flushes would slow the demo; the log is
             # still real (recoverable) — only the *cost model* is free.
-            log=OperationLog(StableLog(flush_model=FlushModel.free())),
+            flush_model=FlushModel.free(),
             auth_token=auth_token,
         )
 

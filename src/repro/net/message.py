@@ -195,10 +195,6 @@ def _zigzag(value: int) -> int:
     return value * 2 if value >= 0 else -value * 2 - 1
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def _encode(value: Any, out: bytearray, depth: int = 0) -> None:
     if depth > MAX_DEPTH:
         raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")

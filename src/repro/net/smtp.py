@@ -47,11 +47,6 @@ class MailRelay:
         for link in self.host.links:
             link.on_transition(self._on_link_transition)
 
-    def watch_new_links(self) -> None:
-        """Re-subscribe after links were added post-construction."""
-        for link in self.host.links:
-            link.on_transition(self._on_link_transition)
-
     def spooled(self, dst_name: Optional[str] = None) -> int:
         if dst_name is not None:
             return len(self._spool.get(dst_name, []))

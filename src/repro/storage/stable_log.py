@@ -98,10 +98,6 @@ class GroupCommitPolicy:
         )
 
 
-class LogCorruption(Exception):
-    """A record failed its CRC during recovery (only partially written)."""
-
-
 class MemoryLogBackend:
     """Stable/volatile split in memory; ``crash`` drops the volatile tail."""
 

@@ -18,7 +18,7 @@ from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
 from repro.net.scheduler import NetworkScheduler
-from repro.net.simnet import Host, Link, Network
+from repro.net.simnet import Host, Link, Medium, Network
 from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
@@ -73,161 +73,6 @@ def build_client_access(
 
 
 @dataclass
-class Testbed:
-    """Everything a scenario needs, fully wired."""
-
-    sim: Simulator
-    network: Network
-    client_host: Host
-    server_host: Host
-    link: Link
-    client_transport: Transport
-    server_transport: Transport
-    scheduler: NetworkScheduler
-    server: RoverServer
-    access: AccessManager
-    #: Shared metrics registry + tracer for every component in this bed.
-    obs: Observatory = field(default_factory=Observatory)
-    relay_host: Optional[Host] = None
-    relay: Optional[MailRelay] = None
-    client_mailbox: Optional[Mailbox] = None
-    server_mailbox: Optional[Mailbox] = None
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def authority(self) -> str:
-        return self.server.authority
-
-    def crash_and_recover_client(self) -> list[str]:
-        """Crash the client process and rebuild it from the stable log.
-
-        Volatile state (scheduler queue, promises, cache, unflushed log
-        tail) dies; the new :class:`AccessManager` replays pending
-        QRPCs from the log.  Returns the replayed request ids; the
-        rebuilt manager replaces ``self.access``.
-        """
-        from repro.chaos.recovery import crash_and_recover_client
-
-        self.access, replayed = crash_and_recover_client(self.access)
-        return replayed
-
-
-def build_testbed(
-    link_spec: LinkSpec = ETHERNET_10M,
-    policy: Optional[ConnectivityPolicy] = None,
-    flush_model: Optional[FlushModel] = None,
-    resolvers: Optional[ResolverRegistry] = None,
-    with_relay: bool = False,
-    relay_link_spec: Optional[LinkSpec] = None,
-    relay_client_policy: Optional[ConnectivityPolicy] = None,
-    relay_server_policy: Optional[ConnectivityPolicy] = None,
-    authority: str = "server",
-    cache_capacity: int = 8 * 1024 * 1024,
-    max_inflight: int = 4,
-    fifo_only: bool = False,
-    compress_threshold: Optional[int] = None,
-    batch_max: int = 1,
-    seed: int = 0,
-    obs: Optional[Observatory] = None,
-    trace: bool = False,
-    rpc_timeout_s: float = 600.0,
-    max_attempts: int = 8,
-    compaction: bool = False,
-    delta_shipping: bool = False,
-    group_commit: Optional[GroupCommitPolicy] = None,
-) -> Testbed:
-    """Build the canonical client/server testbed.
-
-    ``link_spec``/``policy`` describe the direct client-server link.
-    With ``with_relay`` an SMTP relay host is added with its own links
-    (default: same spec, always up), the client's scheduler learns the
-    mail route, and the server answers mailed QRPCs.
-
-    Observability: every component shares one :class:`Observatory`
-    (``bed.obs``) so metrics land in a single registry and client and
-    server spans join into one trace.  Pass ``obs`` to supply your own
-    (e.g. shared across beds), ``trace=True`` for a fresh one with
-    span recording on, or neither for metrics-only.  A process-wide
-    capture installed via :func:`repro.obs.set_capture` (the bench
-    CLI's ``--trace-out``/``--metrics`` path) takes effect when no
-    explicit ``obs`` is given.
-    """
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
-    obs.tracer.scope_attrs["link"] = link_spec.name
-    sim = Simulator()
-    network = Network(sim, seed=seed)
-    client_host = network.host("client")
-    server_host = network.host(authority)
-    link = network.connect(client_host, server_host, link_spec, policy)
-
-    client_transport = Transport(
-        sim, client_host, compress_threshold=compress_threshold, obs=obs
-    )
-    server_transport = Transport(
-        sim, server_host, compress_threshold=compress_threshold, obs=obs
-    )
-
-    server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
-    scheduler = NetworkScheduler(
-        sim,
-        client_transport,
-        max_inflight=max_inflight,
-        max_attempts=max_attempts,
-        fifo_only=fifo_only,
-        batch_max=batch_max,
-        obs=obs,
-        rpc_timeout=rpc_timeout_s,
-    )
-
-    relay_host = relay = client_mailbox = server_mailbox = None
-    if with_relay:
-        relay_spec = relay_link_spec or link_spec
-        relay_host = network.host("relay")
-        network.connect(client_host, relay_host, relay_spec, relay_client_policy)
-        network.connect(relay_host, server_host, relay_spec, relay_server_policy)
-        relay_transport = Transport(sim, relay_host, obs=obs)
-        relay = MailRelay(sim, relay_transport)
-        relay.watch_new_links()
-        client_mailbox = Mailbox(sim, client_transport, relay_host)
-        server_mailbox = Mailbox(sim, server_transport, relay_host)
-        MailRpcEndpoint(sim, server_transport, server_mailbox)
-        scheduler.add_route(MailRoute(sim, client_mailbox))
-
-    access = build_client_access(
-        sim,
-        scheduler,
-        {authority: server_host},
-        obs,
-        cache_capacity=cache_capacity,
-        flush_model=flush_model,
-        compactor=default_compactor() if compaction else None,
-        delta_shipping=delta_shipping,
-        group_commit=group_commit,
-    )
-
-    return Testbed(
-        sim=sim,
-        network=network,
-        client_host=client_host,
-        server_host=server_host,
-        link=link,
-        client_transport=client_transport,
-        server_transport=server_transport,
-        scheduler=scheduler,
-        server=server,
-        access=access,
-        obs=obs,
-        relay_host=relay_host,
-        relay=relay,
-        client_mailbox=client_mailbox,
-        server_mailbox=server_mailbox,
-    )
-
-
-@dataclass
 class ClientStack:
     """One mobile client's full Rover stack."""
 
@@ -272,6 +117,183 @@ class MultiClientTestbed:
         return self.server.authority
 
 
+@dataclass
+class Testbed(MultiClientTestbed):
+    """The one-client bed (``clients[0]``) plus the optional SMTP relay."""
+
+    relay_host: Optional[Host] = None
+    relay: Optional[MailRelay] = None
+    client_mailbox: Optional[Mailbox] = None
+    server_mailbox: Optional[Mailbox] = None
+
+    @property
+    def access(self) -> AccessManager:
+        return self.clients[0].access
+
+    @property
+    def client_host(self) -> Host:
+        return self.clients[0].host
+
+    @property
+    def client_transport(self) -> Transport:
+        return self.clients[0].transport
+
+    @property
+    def scheduler(self) -> NetworkScheduler:
+        return self.clients[0].scheduler
+
+    @property
+    def link(self) -> Link:
+        return self.clients[0].link
+
+    def crash_and_recover_client(self) -> list[str]:
+        """Crash the client process and rebuild it from the stable log.
+
+        Volatile state (scheduler queue, promises, cache, unflushed log
+        tail) dies; the new :class:`AccessManager` replays pending
+        QRPCs from the log.  Returns the replayed request ids; the
+        rebuilt manager replaces ``self.access``.
+        """
+        return self.clients[0].crash_and_recover()
+
+
+def build_world(
+    obs: Optional[Observatory], trace: bool, link_spec: LinkSpec, seed: int
+) -> tuple[Observatory, Simulator, Network]:
+    """Every builder's observatory, simulator and network.
+
+    An explicit ``obs`` wins; else a process-wide capture installed via
+    :func:`repro.obs.set_capture` (the bench CLI's ``--trace-out``/
+    ``--metrics`` path); else a fresh one.
+    """
+    if obs is None:
+        obs = active_capture() or Observatory(tracing=trace)
+    elif trace:
+        obs.tracer.enabled = True
+    obs.tracer.scope_attrs["link"] = link_spec.name
+    sim = Simulator()
+    return obs, sim, Network(sim, seed=seed)
+
+
+def build_client_stack(
+    network: Network,
+    name: str,
+    peers: list[tuple[Host, LinkSpec, Optional[ConnectivityPolicy]]],
+    servers: dict,
+    obs: Observatory,
+    scheduler_options: dict[str, Any],
+    medium: Optional[Medium] = None,
+    compress_threshold: Optional[int] = None,
+    **access_options: Any,
+) -> ClientStack:
+    """Wire host ``name``: one link per ``(peer, spec, policy)`` (the
+    first is ``ClientStack.link``), transport, scheduler and manager.
+
+    The manager watches only the links its host has when it is built,
+    so every link is connected first.
+    """
+    sim = network.sim
+    host = network.host(name)
+    links = [
+        network.connect(host, peer, spec, policy, medium=medium)
+        for peer, spec, policy in peers
+    ]
+    transport = Transport(sim, host, compress_threshold=compress_threshold, obs=obs)
+    scheduler = NetworkScheduler(sim, transport, obs=obs, **scheduler_options)
+    access = build_client_access(sim, scheduler, servers, obs, **access_options)
+    return ClientStack(host, links[0], transport, scheduler, access)
+
+
+def build_testbed(
+    link_spec: LinkSpec = ETHERNET_10M,
+    policy: Optional[ConnectivityPolicy] = None,
+    flush_model: Optional[FlushModel] = None,
+    resolvers: Optional[ResolverRegistry] = None,
+    with_relay: bool = False,
+    relay_link_spec: Optional[LinkSpec] = None,
+    relay_client_policy: Optional[ConnectivityPolicy] = None,
+    relay_server_policy: Optional[ConnectivityPolicy] = None,
+    authority: str = "server",
+    cache_capacity: int = 8 * 1024 * 1024,
+    max_inflight: int = 4,
+    fifo_only: bool = False,
+    compress_threshold: Optional[int] = None,
+    batch_max: int = 1,
+    seed: int = 0,
+    obs: Optional[Observatory] = None,
+    trace: bool = False,
+    rpc_timeout_s: float = 600.0,
+    max_attempts: int = 8,
+    compaction: bool = False,
+    delta_shipping: bool = False,
+    group_commit: Optional[GroupCommitPolicy] = None,
+) -> Testbed:
+    """Build the canonical client/server testbed.
+
+    ``link_spec``/``policy`` describe the direct client-server link.
+    With ``with_relay`` an SMTP relay host is added with its own links
+    (default: same spec, always up), the client's scheduler learns the
+    mail route, and the server answers mailed QRPCs.
+
+    Observability: every component shares one :class:`Observatory`
+    (``bed.obs``) so metrics land in a single registry and client and
+    server spans join into one trace.  Pass ``obs`` to supply your own
+    (e.g. shared across beds), ``trace=True`` for a fresh one with
+    span recording on, or neither for metrics-only; see
+    :func:`build_world`.
+    """
+    obs, sim, network = build_world(obs, trace, link_spec, seed)
+    server_host = network.host(authority)
+    server_transport = Transport(
+        sim, server_host, compress_threshold=compress_threshold, obs=obs
+    )
+    server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
+
+    peers = [(server_host, link_spec, policy)]
+    if with_relay:
+        relay_spec = relay_link_spec or link_spec
+        relay_host = network.host("relay")
+        peers.append((relay_host, relay_spec, relay_client_policy))
+    client = build_client_stack(
+        network,
+        "client",
+        peers,
+        {authority: server_host},
+        obs,
+        scheduler_options=dict(
+            max_inflight=max_inflight,
+            max_attempts=max_attempts,
+            fifo_only=fifo_only,
+            batch_max=batch_max,
+            rpc_timeout=rpc_timeout_s,
+        ),
+        compress_threshold=compress_threshold,
+        cache_capacity=cache_capacity,
+        flush_model=flush_model,
+        compactor=default_compactor() if compaction else None,
+        delta_shipping=delta_shipping,
+        group_commit=group_commit,
+    )
+    bed = Testbed(
+        sim=sim,
+        network=network,
+        server_host=server_host,
+        server_transport=server_transport,
+        server=server,
+        clients=[client],
+        obs=obs,
+    )
+    if with_relay:
+        network.connect(relay_host, server_host, relay_spec, relay_server_policy)
+        bed.relay_host = relay_host
+        bed.relay = MailRelay(sim, Transport(sim, relay_host, obs=obs))
+        bed.client_mailbox = Mailbox(sim, client.transport, relay_host)
+        bed.server_mailbox = Mailbox(sim, server_transport, relay_host)
+        MailRpcEndpoint(sim, server_transport, bed.server_mailbox)
+        client.scheduler.add_route(MailRoute(sim, bed.client_mailbox))
+    return bed
+
+
 def build_multi_client_testbed(
     n_clients: int,
     link_spec: LinkSpec = ETHERNET_10M,
@@ -304,13 +326,7 @@ def build_multi_client_testbed(
     ``i`` gets ``link_specs[i % len(link_specs)]`` (a mixed fleet
     population) instead of the uniform ``link_spec``.
     """
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
-    obs.tracer.scope_attrs["link"] = link_spec.name
-    sim = Simulator()
-    network = Network(sim, seed=seed)
+    obs, sim, network = build_world(obs, trace, link_spec, seed)
     server_host = network.host(authority)
     server_transport = Transport(sim, server_host, obs=obs)
     server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
@@ -318,31 +334,27 @@ def build_multi_client_testbed(
 
     clients: list[ClientStack] = []
     for index in range(n_clients):
-        host = network.host(f"client{index}")
         policy = policies[index] if policies is not None else None
         spec = (
             link_specs[index % len(link_specs)] if link_specs else link_spec
         )
-        link = network.connect(host, server_host, spec, policy, medium=medium)
         client_obs = Observatory(tracing=False) if per_client_obs else obs
-        transport = Transport(sim, host, obs=client_obs)
-        scheduler = NetworkScheduler(
-            sim, transport, obs=client_obs, rpc_timeout=rpc_timeout_s
-        )
-        access = build_client_access(
-            sim,
-            scheduler,
+        stack = build_client_stack(
+            network,
+            f"client{index}",
+            [(server_host, spec, policy)],
             {authority: server_host},
             client_obs,
+            scheduler_options=dict(rpc_timeout=rpc_timeout_s),
+            medium=medium,
             flush_model=flush_model,
             compactor=default_compactor() if compaction else None,
             delta_shipping=delta_shipping,
             group_commit=group_commit,
         )
-        clients.append(ClientStack(
-            host, link, transport, scheduler, access,
-            obs=client_obs if per_client_obs else None,
-        ))
+        if per_client_obs:
+            stack.obs = client_obs
+        clients.append(stack)
 
     return MultiClientTestbed(
         sim=sim,

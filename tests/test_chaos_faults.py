@@ -372,6 +372,9 @@ def test_fault_plan_validation():
     plan = FaultPlan(link_windows=(LinkFaultWindow(LinkFaultSpec(), link="no-such"),))
     with pytest.raises(ChaosError):
         controller.schedule(plan, bed)
+    # A one-client bed has only client 0.
+    with pytest.raises(ChaosError):
+        controller.schedule(FaultPlan(client_crashes=(ClientCrash(at=1.0, client=1),)), bed)
 
 
 def test_acceptance_full_fault_plan_converges(tmp_path):

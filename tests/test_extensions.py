@@ -29,7 +29,6 @@ class TestRoutePreference:
         tc, ts, tr = Transport(sim, client), Transport(sim, server), Transport(sim, relay_host)
         ts.register("ping", lambda body, src: {"pong": True})
         relay = MailRelay(sim, tr)
-        relay.watch_new_links()
         mbc, mbs = Mailbox(sim, tc, relay_host), Mailbox(sim, ts, relay_host)
         MailRpcEndpoint(sim, ts, mbs)
         scheduler = NetworkScheduler(sim, tc)
@@ -70,7 +69,6 @@ class TestRoutePreference:
         tc, ts, tr = Transport(sim, client), Transport(sim, server), Transport(sim, relay_host)
         ts.register("ping", lambda body, src: {"pong": True})
         relay = MailRelay(sim, tr)
-        relay.watch_new_links()
         mbc, mbs = Mailbox(sim, tc, relay_host), Mailbox(sim, ts, relay_host)
         MailRpcEndpoint(sim, ts, mbs)
         scheduler = NetworkScheduler(sim, tc, max_inflight=1)

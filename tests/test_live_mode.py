@@ -105,6 +105,13 @@ class TestLiveRoundTrips:
         assert server.get_object(str(note.urn)).data == {"text": "live edit"}
         assert not client.access.cache.peek(str(note.urn)).tentative
 
+        # The cache and the stable log report into the client's own
+        # registry, labelled with the client's name.
+        snapshot = client.scheduler.obs.registry.snapshot()
+        assert snapshot['cache_misses_total{owner=laptop}'] >= 1
+        assert snapshot['stable_log_appends{owner=laptop}'] >= 2
+        assert snapshot['stable_log_flushes{owner=laptop}'] >= 1
+
     def test_cache_hits_avoid_the_network(self, live_world):
         server, client = live_world
         note = make_note()

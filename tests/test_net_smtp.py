@@ -25,7 +25,6 @@ def make_mail_world(client_relay_policy=None, relay_server_policy=None, direct_p
     net.connect(relay_host, server, CSLIP_14_4, relay_server_policy)
     tc, ts, tr = Transport(sim, client), Transport(sim, server), Transport(sim, relay_host)
     relay = MailRelay(sim, tr)
-    relay.watch_new_links()
     mb_client = Mailbox(sim, tc, relay_host)
     mb_server = Mailbox(sim, ts, relay_host)
     return sim, net, client, server, relay_host, direct, tc, ts, relay, mb_client, mb_server

@@ -26,6 +26,11 @@ def test_relay_wiring():
     bed = build_testbed(policy=AlwaysDown(), with_relay=True)
     assert bed.relay is not None
     assert bed.client_mailbox is not None
+    # The relay watches each of its links exactly once.
+    relay_links = bed.relay_host.links
+    assert len(relay_links) == 2
+    for link in relay_links:
+        assert link._listeners.count(bed.relay._on_link_transition) == 1
     note = make_note()
     bed.server.put_object(note)
     rdo = bed.access.import_(note.urn).wait(bed.sim, timeout=600)
